@@ -47,6 +47,8 @@ use ndpb_dram::Geometry;
 use ndpb_sketch::SketchConfig;
 use ndpb_workloads::{Scale, APP_NAMES};
 
+const USAGE: &str = "usage: repro <table1|table2|fig2|fig10|fig11|fig12|fig13|fig14a|fig14b|fig15|fig16a|fig16b|fig16c|fig16d|split-dimm|dimm-link|audit|gather|bench|serve|trace|all> [--tiny|--small|--full] [--apps a,b,c] [--jobs N] [--cache-dir path] [--no-cache] [--audit] [--steal-budget N] [--json path] [--trace path] [--metrics-json path] [--reps N] [--quick] [--small-tier] [--profile] [--full-tier] [--port N] [--max-queue N] [--max-points N]";
+
 struct Opts {
     scale: Scale,
     /// Whether a scale flag was given explicitly (`bench` defaults to
@@ -57,13 +59,6 @@ struct Opts {
     trace: Option<String>,
     metrics_json: Option<String>,
     jobs: Option<usize>,
-    /// Per-run shard count (`--shards N`, `0` = auto from
-    /// `available_parallelism`): partitions each single run's event
-    /// queue across N per-rank timer wheels and executes windows in
-    /// parallel where the model admits it. Results are byte-identical
-    /// for any value; `bench` also sweeps the {1, 2, 4, 8} ladder and
-    /// records the speedup each rung buys.
-    shards: Option<usize>,
     cache_dir: Option<String>,
     no_cache: bool,
     audit: bool,
@@ -102,7 +97,6 @@ fn parse_opts(args: &[String]) -> Opts {
     let mut trace = None;
     let mut metrics_json = None;
     let mut jobs = None;
-    let mut shards = None;
     let mut cache_dir = None;
     let mut no_cache = false;
     let mut audit = false;
@@ -131,13 +125,6 @@ fn parse_opts(args: &[String]) -> Opts {
                 jobs = it.next().and_then(|v| v.parse().ok());
                 if jobs.is_none() {
                     eprintln!("--jobs expects a worker count, e.g. --jobs 8");
-                    std::process::exit(2);
-                }
-            }
-            "--shards" => {
-                shards = it.next().and_then(|v| v.parse().ok());
-                if shards.is_none() {
-                    eprintln!("--shards expects a shard count (0 = auto), e.g. --shards 4");
                     std::process::exit(2);
                 }
             }
@@ -185,7 +172,11 @@ fn parse_opts(args: &[String]) -> Opts {
                     }
                 };
             }
-            _ => {}
+            other => {
+                eprintln!("unknown flag {other:?}");
+                eprintln!("{USAGE}");
+                std::process::exit(2);
+            }
         }
     }
     Opts {
@@ -196,7 +187,6 @@ fn parse_opts(args: &[String]) -> Opts {
         trace,
         metrics_json,
         jobs,
-        shards,
         cache_dir,
         no_cache,
         audit,
@@ -253,33 +243,6 @@ fn serve(o: &Opts) {
     }
 }
 
-/// Resolves `--shards N` against the host and the standard geometry.
-/// `0` asks for one shard per hardware thread. Requests beyond the
-/// rank count clamp (ranks are the sharding unit, so extra wheels
-/// would sit empty); requests beyond the hardware thread count only
-/// warn — lanes fall back to inline execution on the leader thread,
-/// which is slower but still byte-identical, so small hosts can
-/// exercise any shard count.
-fn resolve_shards(o: &Opts) -> Option<usize> {
-    let req = o.shards?;
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let g = SystemConfig::table1().geometry;
-    let ranks = (g.channels * g.ranks_per_channel) as usize;
-    let mut n = if req == 0 { hw.clamp(1, ranks) } else { req };
-    if req == 0 {
-        eprintln!(
-            "[--shards 0: auto-selected {n} shard(s) ({hw} hardware thread(s), {ranks} ranks)]"
-        );
-    } else if n > ranks {
-        eprintln!("[--shards {n} exceeds the {ranks}-rank geometry; clamping to {ranks}]");
-        n = ranks;
-    }
-    if n > hw {
-        eprintln!("[--shards {n} exceeds {hw} hardware thread(s); lanes run inline on the leader]");
-    }
-    Some(n)
-}
-
 /// Installs the process-wide sweep engine from the CLI flags. Caching
 /// is on by default (`target/repro-cache`) so a rerun of an unchanged
 /// figure costs file reads, not simulations; `--no-cache` forces fresh
@@ -298,11 +261,6 @@ fn configure_sweep(o: &Opts) {
         // Conservation audit at every epoch boundary; any violated
         // invariant aborts the run with the full violation list.
         sweeper = sweeper.with_audit(AuditLevel::Full);
-    }
-    if let Some(n) = resolve_shards(o) {
-        // Observationally invisible (and excluded from cache keys);
-        // shards each run's queue and construction across n wheels.
-        sweeper = sweeper.with_shards(n);
     }
     ndpb_bench::sweep::configure(sweeper);
 }
@@ -962,120 +920,6 @@ fn bench_engine(o: &Opts) {
         "{:<8}{:>12}{:>14.4}{:>16.0}",
         "total", total_events, total_median, total_eps
     );
-    // --shards: end-to-end scaling ladder. The serial (shards=1) rung
-    // reuses the per-rep totals already measured above; each further
-    // rung {2, 4, 8} reruns the same sweep with every run's queue and
-    // construction split across that many shards, recording the
-    // windowed engine's own counters (windows opened, serial-fallback
-    // steps, barrier stall) alongside the wall clock. Event counts
-    // must not move — shard count is observationally invisible — so
-    // any drift aborts.
-    let mut shard_rows: Vec<String> = Vec::new();
-    if resolve_shards(o).is_some() {
-        let g = SystemConfig::table1().geometry;
-        let ranks = (g.channels * g.ranks_per_channel) as usize;
-        let serial_totals: Vec<f64> = (0..reps as usize)
-            .map(|rep| walls.iter().map(|w| w[rep]).sum())
-            .collect();
-        let serial_med = ndpb_bench::timing::median(&serial_totals);
-        println!(
-            "\n{:<8}{:>12}{:>14}{:>10}{:>10}{:>12}{:>12}",
-            "shards", "median s", "events/sec", "speedup", "windows", "fallback", "stall ms"
-        );
-        let mut emit = |shards: usize, med: f64, windows: u64, fallback: u64, stall: u64| {
-            let eps = if med > 0.0 {
-                total_events as f64 / med
-            } else {
-                0.0
-            };
-            let speedup = if med > 0.0 { serial_med / med } else { 0.0 };
-            println!(
-                "{shards:<8}{med:>12.4}{eps:>14.0}{speedup:>9.2}x{windows:>10}{fallback:>12}{:>12.1}",
-                stall as f64 / 1e6
-            );
-            shard_rows.push(format!(
-                "{{\"shards\":{shards},\"median_wall_seconds\":{med:.6},\"events_per_sec\":{eps:.1},\"speedup_over_serial\":{speedup:.3},\"windows\":{windows},\"serial_fallback_steps\":{fallback},\"barrier_stall_ns\":{stall}}}"
-            ));
-        };
-        emit(1, serial_med, 0, 0, 0);
-        for n in [2usize, 4, 8] {
-            if n > ranks {
-                println!("[skipping shards={n}: exceeds the {ranks}-rank geometry]");
-                continue;
-            }
-            let mut totals: Vec<f64> = Vec::new();
-            let (mut windows, mut fallback, mut stall) = (0u64, 0u64, 0u64);
-            for rep in 0..reps {
-                let start = std::time::Instant::now();
-                let mut ev = 0u64;
-                let (mut w, mut f, mut s) = (0u64, 0u64, 0u64);
-                for col in &cols {
-                    for app in &apps {
-                        let mut cfg = SystemConfig::table1();
-                        cfg.shards = n;
-                        let r = match col {
-                            Column::Ndp(d) => ndpb_bench::run_one(app, *d, cfg, scale),
-                            Column::Host => ndpb_bench::run_host(app, cfg, scale),
-                        };
-                        ev += r.events;
-                        if let Some(p) = r.parallel {
-                            w += p.windows;
-                            f += p.serial_fallback_steps;
-                            s += p.barrier_stall_ns;
-                        }
-                    }
-                }
-                assert_eq!(
-                    ev, total_events,
-                    "event count drifted at shards={n}: sharding must be invisible"
-                );
-                if rep == 0 {
-                    (windows, fallback) = (w, f);
-                } else {
-                    // Window structure is deterministic; only the
-                    // wall-clock counters may vary across reps.
-                    assert_eq!(
-                        (windows, fallback),
-                        (w, f),
-                        "nondeterministic window structure at shards={n}"
-                    );
-                }
-                stall = stall.max(s);
-                totals.push(start.elapsed().as_secs_f64());
-            }
-            emit(
-                n,
-                ndpb_bench::timing::median(&totals),
-                windows,
-                fallback,
-                stall,
-            );
-        }
-        // Non-gating scaling delta against the committed baseline
-        // (machines differ; the honest number travels in the JSON).
-        if let Ok(text) = std::fs::read_to_string("docs/repro/BENCH_repro.json") {
-            if let Ok(base) = ndpb_bench::json::Json::parse(&text) {
-                if let Some(rows) = base.get("shards").and_then(|s| s.as_arr()) {
-                    for row in rows {
-                        let (Some(n), Some(sp)) = (
-                            row.u64_field("shards"),
-                            row.get("speedup_over_serial").and_then(|v| v.as_f64()),
-                        ) else {
-                            continue;
-                        };
-                        if n > 1 {
-                            println!("[baseline speedup_over_serial at {n} shards: {sp:.3}x]");
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let shards_json = if shard_rows.is_empty() {
-        String::new()
-    } else {
-        format!("\"shards\":[\n{}\n],", shard_rows.join(",\n"))
-    };
     // --small-tier: the Small-scale gather-traffic tier (ROADMAP item
     // 1 acceptance: W+GA moves >= 2x fewer gather bytes than W with
     // makespan no worse). One pass per design — the numbers recorded
@@ -1278,11 +1122,11 @@ fn bench_engine(o: &Opts) {
             frows.join(",\n")
         );
     }
-    // Honest context for the scaling rungs: speedup numbers from a
-    // host with fewer threads than shards are inline-lane numbers.
+    // Provenance: timings from hosts with different thread counts are
+    // not comparable.
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let body = format!(
-        "{{\"bench\":\"fig10\",\"scale\":\"{:?}\",\"reps\":{},\"host_parallelism\":{host_parallelism},\"apps\":[{}],\"designs\":[\n{}\n],{}{}{}{}\"total_events\":{},\"total_median_wall_seconds\":{:.6},\"total_events_per_sec\":{:.1}}}\n",
+        "{{\"bench\":\"fig10\",\"scale\":\"{:?}\",\"reps\":{},\"host_parallelism\":{host_parallelism},\"apps\":[{}],\"designs\":[\n{}\n],{}{}{}\"total_events\":{},\"total_median_wall_seconds\":{:.6},\"total_events_per_sec\":{:.1}}}\n",
         scale,
         reps,
         apps.iter()
@@ -1290,7 +1134,6 @@ fn bench_engine(o: &Opts) {
             .collect::<Vec<_>>()
             .join(","),
         rows.join(",\n"),
-        shards_json,
         small_tier_json,
         profile_json,
         full_json,
@@ -1678,7 +1521,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown subcommand {other:?}");
-            eprintln!("usage: repro <table1|table2|fig2|fig10|fig11|fig12|fig13|fig14a|fig14b|fig15|fig16a|fig16b|fig16c|fig16d|split-dimm|dimm-link|audit|gather|bench|serve|trace|all> [--tiny|--small|--full] [--apps a,b,c] [--jobs N] [--cache-dir path] [--no-cache] [--audit] [--steal-budget N] [--json path] [--trace path] [--metrics-json path] [--reps N] [--quick] [--small-tier] [--profile] [--full-tier] [--shards N] [--port N] [--max-queue N] [--max-points N]");
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     }

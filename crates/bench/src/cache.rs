@@ -157,9 +157,8 @@ pub fn decode_result(text: &str) -> Option<RunResult> {
             .collect::<Option<Vec<u64>>>()?,
         metrics,
         trace: Vec::new(),
-        // Cache hits replay a past run; parallel-engine wall-clock
-        // stats describe only the run that produced them.
-        parallel: None,
+        // Cache hits replay a past run; wall-clock profiles describe
+        // only the run that produced them.
         profile: None,
     })
 }

@@ -27,19 +27,9 @@ use ndpb_core::System;
 use ndpb_workloads::{build_app, Scale};
 
 /// Runs one (application, design) pair under `cfg`.
-///
-/// Routes through [`System::with_app_factory`]: when `cfg.shards > 1`
-/// the workload is generated concurrently with the (512-unit, at Table
-/// I) system scaffolding, which is where one run's shard speedup comes
-/// from — the event loop itself stays serial so results are
-/// byte-identical at every shard count.
 pub fn run_one(app_name: &str, design: DesignPoint, cfg: SystemConfig, scale: Scale) -> RunResult {
-    let geometry = cfg.geometry.clone();
-    let seed = cfg.seed;
-    System::with_app_factory(cfg, design, move || {
-        build_app(app_name, &geometry, scale, seed)
-    })
-    .run()
+    let app = build_app(app_name, &cfg.geometry, scale, cfg.seed);
+    System::new(cfg, design, app).run()
 }
 
 /// [`run_one`] with tracing: attaches a [`ndpb_trace::RingRecorder`] of
@@ -67,8 +57,8 @@ pub fn run_host(app_name: &str, cfg: SystemConfig, scale: Scale) -> RunResult {
 /// Runs one column with the event-loop phase profiler armed, so
 /// `RunResult::profile` comes back populated (`repro bench --profile`).
 /// Profiled runs bypass the sweep cache — the point is the wall-clock
-/// attribution, not the result — and take the serial path; the result
-/// bytes are identical to an unprofiled run.
+/// attribution, not the result; the result bytes are identical to an
+/// unprofiled run.
 pub fn run_profiled(app_name: &str, column: Column, cfg: SystemConfig, scale: Scale) -> RunResult {
     match column {
         Column::Ndp(design) => {

@@ -108,12 +108,28 @@ impl PointTicket {
     }
 }
 
-/// Shared state of the resident pool: a job queue plus the condvar
-/// workers park on while it is empty.
+/// Shared state of the resident pool, plus the condvar workers park
+/// on while the queue is empty.
 #[derive(Debug, Default)]
 struct ResidentPool {
-    queue: Mutex<VecDeque<(SweepPoint, mpsc::Sender<RunResult>)>>,
+    state: Mutex<PoolState>,
     ready: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct PoolState {
+    queue: VecDeque<(SweepPoint, mpsc::Sender<RunResult>)>,
+    /// Set when the owning [`Sweeper`] drops; a worker exits once the
+    /// pool is closed and the queue is empty.
+    closed: bool,
+}
+
+/// A started resident pool: its shared state and the worker handles
+/// the owning [`Sweeper`] joins on drop.
+#[derive(Debug)]
+struct Resident {
+    pool: Arc<ResidentPool>,
+    workers: Vec<thread::JoinHandle<()>>,
 }
 
 /// The sweep executor: worker count, optional cache, shared metrics.
@@ -122,10 +138,9 @@ pub struct Sweeper {
     jobs: usize,
     cache: Option<ResultCache>,
     audit: Option<AuditLevel>,
-    shards: Option<usize>,
     metrics: SharedMetrics,
     sweeps_run: AtomicU64,
-    resident: OnceLock<Arc<ResidentPool>>,
+    resident: OnceLock<Resident>,
 }
 
 impl Sweeper {
@@ -135,7 +150,6 @@ impl Sweeper {
             jobs: jobs.max(1),
             cache: None,
             audit: None,
-            shards: None,
             metrics: SharedMetrics::new(),
             sweeps_run: AtomicU64::new(0),
             resident: OnceLock::new(),
@@ -162,23 +176,6 @@ impl Sweeper {
     /// The forced audit level, if any.
     pub fn audit(&self) -> Option<AuditLevel> {
         self.audit
-    }
-
-    /// Forces every point's shard count (the `repro --shards` flag).
-    ///
-    /// Unlike [`with_audit`](Self::with_audit), this must NOT move the
-    /// cache key: shard count is observationally invisible
-    /// (`SystemConfig::fingerprint` normalizes it away), so serial and
-    /// sharded runs share one cache namespace — a result stored at
-    /// `shards=1` satisfies `--shards 4` and vice versa.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards.max(1));
-        self
-    }
-
-    /// The forced shard count, if any.
-    pub fn shards(&self) -> Option<usize> {
-        self.shards
     }
 
     /// Worker count.
@@ -218,9 +215,6 @@ impl Sweeper {
         for (i, mut p) in points.into_iter().enumerate() {
             if let Some(level) = self.audit {
                 p.cfg.audit = level;
-            }
-            if let Some(shards) = self.shards {
-                p.cfg.shards = shards;
             }
             match self.cache.as_ref().and_then(|c| c.load(p.key())) {
                 Some(hit) => {
@@ -296,7 +290,6 @@ impl Sweeper {
                 p.cfg.audit = level;
                 p.key()
             }
-            // No shards override here: shard count never moves the key.
             None => point.key(),
         };
         let hit = cache.load(key)?;
@@ -311,8 +304,8 @@ impl Sweeper {
     ///
     /// Unlike [`run`](Self::run) — which spawns scoped workers for the
     /// duration of one batch — the resident pool's `jobs` workers are
-    /// detached daemon threads created on first submit and kept parked
-    /// on a condvar between jobs. That is the shape a long-running
+    /// created on first submit and kept parked on a condvar between
+    /// jobs until the `Sweeper` drops. That is the shape a long-running
     /// server needs: callers submit from many request threads, results
     /// fan back through per-ticket channels, and the pool never has to
     /// be re-warmed. The cache (if configured) is *not* probed here —
@@ -322,25 +315,27 @@ impl Sweeper {
         if let Some(level) = self.audit {
             point.cfg.audit = level;
         }
-        if let Some(shards) = self.shards {
-            point.cfg.shards = shards;
-        }
         let m = &self.metrics;
         m.inc(m.register("sweep/points_total"));
         m.inc(m.register("sweep/cache_misses"));
-        let pool = self.resident.get_or_init(|| self.spawn_resident_pool());
+        let pool = &self
+            .resident
+            .get_or_init(|| self.spawn_resident_pool())
+            .pool;
         let (tx, rx) = mpsc::channel();
-        pool.queue
+        pool.state
             .lock()
             .unwrap_or_else(|e| e.into_inner())
+            .queue
             .push_back((point, tx));
         pool.ready.notify_one();
         PointTicket { rx }
     }
 
-    fn spawn_resident_pool(&self) -> Arc<ResidentPool> {
+    fn spawn_resident_pool(&self) -> Resident {
         let pool = Arc::new(ResidentPool::default());
         let sim_id = self.metrics.register("sweep/simulated");
+        let mut workers = Vec::with_capacity(self.jobs);
         for w in 0..self.jobs {
             let worker_id = self
                 .metrics
@@ -348,19 +343,21 @@ impl Sweeper {
             let pool = Arc::clone(&pool);
             let metrics = self.metrics.clone();
             let cache = self.cache.clone();
-            // Detached on purpose: the workers live for the rest of the
-            // process, parked when idle. Service shutdown drains by
-            // waiting on outstanding tickets, not by joining these.
-            thread::Builder::new()
+            // Workers never hold the `Sweeper`, so its drop can join
+            // them without deadlock.
+            let handle = thread::Builder::new()
                 .name(format!("sweep-pool-{w}"))
                 .spawn(move || loop {
                     let (point, tx) = {
-                        let mut q = pool.queue.lock().unwrap_or_else(|e| e.into_inner());
+                        let mut st = pool.state.lock().unwrap_or_else(|e| e.into_inner());
                         loop {
-                            match q.pop_front() {
-                                Some(job) => break job,
-                                None => q = pool.ready.wait(q).unwrap_or_else(|e| e.into_inner()),
+                            if let Some(job) = st.queue.pop_front() {
+                                break job;
                             }
+                            if st.closed {
+                                return;
+                            }
+                            st = pool.ready.wait(st).unwrap_or_else(|e| e.into_inner());
                         }
                     };
                     let key = point.key();
@@ -375,8 +372,9 @@ impl Sweeper {
                     let _ = tx.send(result);
                 })
                 .expect("spawn resident pool worker");
+            workers.push(handle);
         }
-        pool
+        Resident { pool, workers }
     }
 
     /// Formats a one-line summary of the engine's lifetime counters
@@ -400,6 +398,27 @@ impl Sweeper {
             "[sweep: {total} points, {hits} cache hits, {simulated} simulated, jobs={}, cache={cache}]",
             self.jobs
         ))
+    }
+}
+
+impl Drop for Sweeper {
+    /// Closes the resident pool, if one was started, and joins its
+    /// workers once they have drained the queue.
+    fn drop(&mut self) {
+        let Some(resident) = self.resident.take() else {
+            return;
+        };
+        resident
+            .pool
+            .state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .closed = true;
+        resident.pool.ready.notify_all();
+        for w in resident.workers {
+            // A worker whose simulation panicked has already exited.
+            let _ = w.join();
+        }
     }
 }
 
@@ -570,6 +589,19 @@ mod tests {
         let report = sw.metrics().live_report();
         assert_eq!(report.final_value("sweep/simulated"), Some(6));
         assert_eq!(report.final_value("sweep/points_total"), Some(6));
+    }
+
+    #[test]
+    fn dropping_the_sweeper_joins_its_resident_pool() {
+        let sw = Sweeper::new(2);
+        let p = points().swap_remove(0);
+        sw.submit(p).wait();
+        let pool = Arc::downgrade(&sw.resident.get().expect("submit started the pool").pool);
+        drop(sw);
+        assert!(
+            pool.upgrade().is_none(),
+            "resident workers must exit when the sweeper drops"
+        );
     }
 
     #[test]

@@ -88,13 +88,6 @@ pub struct SystemConfig {
     /// fingerprint: an audited sweep must never be satisfied by a
     /// cached result whose run was not actually audited.
     pub audit: AuditLevel,
-    /// Execution shards for one run: ranks are partitioned across this
-    /// many per-shard timer wheels (see `ndpb_sim::shard` and DESIGN.md
-    /// §9). Observationally invisible — the sharded queue's exact-merge
-    /// contract makes results byte-identical for every value — so it is
-    /// deliberately *excluded* from [`fingerprint`](Self::fingerprint):
-    /// a result cached at one shard count must satisfy any other.
-    pub shards: usize,
 }
 
 impl SystemConfig {
@@ -123,7 +116,6 @@ impl SystemConfig {
             dimm_link: None,
             seed: 0x5EED,
             audit: AuditLevel::default(),
-            shards: 1,
         }
     }
 
@@ -199,22 +191,6 @@ impl SystemConfig {
             "borrowed region must hold at least one block"
         );
         assert!(self.i_state_cycles > 0, "I_state must be positive");
-        assert!(self.shards > 0, "shards must be positive");
-    }
-
-    /// The minimum cross-rank hop latency, in ticks: the smallest
-    /// possible message (a bare header) crossing the fastest cross-rank
-    /// wire (the DDR channel, or a DIMM-Link when enabled). This is the
-    /// conservative engine's *lookahead* — no event on one rank can
-    /// affect another rank sooner than this (derivation in DESIGN.md
-    /// §9).
-    pub fn min_hop_latency(&self) -> SimTime {
-        let header_bits = ndpb_proto::message::MESSAGE_HEADER_BYTES as u64 * 8;
-        let mut ticks = header_bits.div_ceil(self.geometry.channel_dq_bits() as u64);
-        if let Some(link_bits) = self.dimm_link {
-            ticks = ticks.min(header_bits.div_ceil(link_bits as u64));
-        }
-        SimTime::from_ticks(ticks.max(1))
     }
 
     /// Maximum number of blocks the borrowed-data region can hold; the
@@ -232,21 +208,9 @@ impl SystemConfig {
     /// energy, sketch, trigger, seed, …), so adding a field to any
     /// nested config struct automatically changes the fingerprint — a
     /// new knob can never alias a cached result from before it existed.
-    ///
-    /// One deliberate exception: [`shards`](Self::shards) is normalized
-    /// to 1 before hashing. Shard count cannot affect results (the
-    /// determinism suite enforces byte-identity), so a cached result
-    /// from any shard count must be a hit for every other — the sweep
-    /// cache and `ndpb-serve`'s request dedup both rely on this.
     pub fn fingerprint(&self) -> u64 {
         let mut h = ndpb_sim::Fnv1a64::new();
-        if self.shards == 1 {
-            h.write_str(&format!("{self:?}"));
-        } else {
-            let mut normalized = self.clone();
-            normalized.shards = 1;
-            h.write_str(&format!("{normalized:?}"));
-        }
+        h.write_str(&format!("{self:?}"));
         h.finish()
     }
 }
@@ -386,38 +350,6 @@ mod tests {
             SystemConfig::with_geometry(ndpb_dram::Geometry::with_total_ranks(1)).fingerprint(),
             base
         );
-        // Shard count is the one observationally-invisible knob: it must
-        // NOT move the fingerprint, or sharded runs would miss the cache
-        // entries serial runs wrote (and vice versa).
-        for shards in [2, 4, 8] {
-            let mut c = SystemConfig::table1();
-            c.shards = shards;
-            assert_eq!(
-                c.fingerprint(),
-                base,
-                "shards={shards} must alias the serial cache key"
-            );
-        }
-    }
-
-    #[test]
-    fn min_hop_latency_is_positive_and_bounded_by_a_header_transfer() {
-        let c = SystemConfig::table1();
-        let la = c.min_hop_latency();
-        assert!(la > SimTime::ZERO);
-        // 2-byte header over the channel pins can't take longer than it
-        // takes over a single pin.
-        assert!(la.ticks() <= 16);
-        // A DIMM-Link can only lower the bound, never raise it.
-        assert!(SystemConfig::table1().with_dimm_link().min_hop_latency() <= la);
-    }
-
-    #[test]
-    #[should_panic(expected = "shards must be positive")]
-    fn zero_shards_fails_validation() {
-        let mut c = SystemConfig::table1();
-        c.shards = 0;
-        c.validate();
     }
 
     #[test]

@@ -104,14 +104,6 @@ impl EpochTracker {
         self.total
     }
 
-    /// Outstanding tasks in the *current* epoch only. The windowed
-    /// engine's epoch guard compares this against the number of
-    /// completions a window could possibly retire to prove the epoch
-    /// barrier cannot open mid-window.
-    pub fn outstanding_current(&self) -> u64 {
-        self.outstanding.front().copied().unwrap_or(0)
-    }
-
     /// Whether every task in every epoch has completed.
     pub fn all_done(&self) -> bool {
         self.total == 0

@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use ndpb_dram::{Bus, EnergyBreakdown};
 use ndpb_sim::stats::BusyTime;
-use ndpb_sim::{ShardedEventQueue, SimTime, TICKS_PER_CORE_CYCLE};
+use ndpb_sim::{EventQueue, SimTime, TICKS_PER_CORE_CYCLE};
 use ndpb_tasks::{Application, ExecCtx, Task};
 
 use crate::config::SystemConfig;
@@ -68,10 +68,8 @@ pub struct HostOnly {
     cfg: SystemConfig,
     host: HostOnlyConfig,
     app: Box<dyn Application>,
-    /// Completion queue, sharded by worker id (`cfg.shards` wheels,
-    /// capped at the worker count). Exact-merge pop order keeps results
-    /// byte-identical for every shard count, like `System`.
-    q: ShardedEventQueue<Done>,
+    /// Completion queue.
+    q: EventQueue<Done>,
     ready: VecDeque<Task>,
     future: BTreeMap<u32, Vec<Task>>,
     worker_free: Vec<SimTime>,
@@ -101,7 +99,6 @@ impl HostOnly {
             .map(|_| Bus::new(cfg.geometry.channel_dq_bits()))
             .collect();
         let w = host.workers;
-        let shards = cfg.shards.clamp(1, w.max(1));
         HostOnly {
             cfg,
             host,
@@ -112,7 +109,7 @@ impl HostOnly {
             // default 4096-tick horizon overflow-dominated — the 0.96x
             // H regression vs the old heap. Start the calendar wide; the
             // wheel still auto-tunes if contention pushes further out.
-            q: ShardedEventQueue::with_horizon(shards, 1 << 16),
+            q: EventQueue::with_horizon(1 << 16),
             ready: VecDeque::new(),
             future: BTreeMap::new(),
             worker_free: vec![SimTime::ZERO; w],
@@ -180,7 +177,6 @@ impl HostOnly {
         }
         self.q.schedule(
             t,
-            w % self.q.shards(),
             Done {
                 worker: w as u32,
                 task,
@@ -222,8 +218,8 @@ impl HostOnly {
             self.enqueue(t);
         }
         self.dispatch(SimTime::ZERO);
-        // Batched same-tick dispatch (DESIGN.md §3c): one merged head
-        // scan per run of equal-time completions instead of one per pop.
+        // Batched same-tick dispatch (DESIGN.md §3c): one head scan per
+        // run of equal-time completions instead of one per pop.
         let mut batch: Vec<Done> = Vec::with_capacity(32);
         if self.profile.is_some() {
             self.run_profiled(&mut batch);
@@ -319,7 +315,6 @@ impl HostOnly {
             per_unit_busy: self.worker_busy.iter().map(|b| b.total().ticks()).collect(),
             metrics: ndpb_trace::MetricsReport::default(),
             trace: Vec::new(),
-            parallel: None,
             profile: self.profile.take().map(|mut p| {
                 p.finalize_ns = finalize_start
                     .map(|t| t.elapsed().as_nanos() as u64)

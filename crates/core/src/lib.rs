@@ -27,7 +27,6 @@ pub mod epoch;
 pub mod fasthash;
 pub mod hostonly;
 pub mod metadata;
-pub(crate) mod parallel;
 pub mod pool;
 pub mod result;
 pub mod steal;
@@ -38,5 +37,5 @@ pub use audit::{AuditLevel, Violation};
 pub use config::{SystemConfig, TriggerPolicy};
 pub use design::{CommPath, DesignPoint, LbPolicy};
 pub use pool::BufPool;
-pub use result::{ParallelStats, ProfileStats, RunResult};
+pub use result::{ProfileStats, RunResult};
 pub use system::System;

@@ -59,37 +59,12 @@ pub struct RunResult {
     /// attached (see `System::set_trace`). Serialize with
     /// `ndpb_trace::write_chrome_trace`.
     pub trace: Vec<TraceRecord>,
-    /// Windowed parallel-execution statistics; `None` when the run used
-    /// the exact-merge serial path (1 shard, non-admissible model, or a
-    /// cache-restored result). Deliberately *not* serialized by
-    /// [`to_json`](Self::to_json) — wall-clock execution strategy must
-    /// stay observationally invisible to goldens and the result cache.
-    pub parallel: Option<ParallelStats>,
     /// Event-loop phase profile; `None` unless the run was started with
     /// profiling enabled (`System::set_profile` / `HostOnly::set_profile`,
-    /// surfaced as `repro bench --profile`). Like [`parallel`]
-    /// (Self::parallel), *not* serialized by [`to_json`](Self::to_json):
-    /// wall-clock attribution must stay invisible to goldens and the
-    /// result cache.
+    /// surfaced as `repro bench --profile`). *Not* serialized by
+    /// [`to_json`](Self::to_json): wall-clock attribution must stay
+    /// invisible to goldens and the result cache.
     pub profile: Option<ProfileStats>,
-}
-
-/// How a windowed parallel run spent its wall-clock time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParallelStats {
-    /// Shards the run was partitioned into.
-    pub shards: u32,
-    /// Parallel windows executed (each drained ≥1 lane concurrently).
-    pub windows: u64,
-    /// Events dispatched on the serial fallback path between windows
-    /// (global-class events, epoch-guard failures, sub-horizon steps).
-    pub serial_fallback_steps: u64,
-    /// Wall-clock nanoseconds lanes spent waiting at window barriers
-    /// (sum over windows of `max(lane wall) - lane wall`, across lanes).
-    pub barrier_stall_ns: u64,
-    /// Whether lanes actually ran on scoped threads (`false` = inline
-    /// on the calling thread because `available_parallelism() < 2`).
-    pub lane_threads: bool,
 }
 
 /// How a profiled run's wall-clock time splits across event-loop
@@ -341,7 +316,6 @@ mod tests {
             per_unit_busy: vec![makespan_ticks, makespan_ticks / 2],
             metrics: MetricsReport::default(),
             trace: Vec::new(),
-            parallel: None,
             profile: None,
         }
     }

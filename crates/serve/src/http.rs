@@ -12,11 +12,12 @@
 //! and answered with one line of JSON. That keeps CI smokes and quick
 //! pokes possible from bare `bash` (`/dev/tcp`) without `curl`.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::TcpStream;
 
-/// Cap on header block and body sizes: the service's real requests are
-/// tiny, so anything huge is a mistake or abuse, not a workload.
+/// Cap on the request line plus header block, and on the body: the
+/// service's real requests are tiny, so anything huge is a mistake or
+/// abuse, not a workload.
 const MAX_HEADER_BYTES: usize = 16 * 1024;
 const MAX_BODY_BYTES: usize = 1024 * 1024;
 
@@ -43,12 +44,34 @@ pub enum Request {
     },
 }
 
+/// Reads one line (newline included) of at most `*budget` bytes and
+/// charges its length to `budget`. A line that would overrun the
+/// budget is an `InvalidData` error after reading at most one byte past
+/// it, so a client that never sends a newline cannot make the server
+/// buffer without limit.
+fn read_bounded_line<R: BufRead>(reader: &mut R, budget: &mut usize) -> io::Result<String> {
+    let mut buf = Vec::new();
+    let n = reader
+        .take(*budget as u64 + 1)
+        .read_until(b'\n', &mut buf)?;
+    if n > *budget {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "headers too large",
+        ));
+    }
+    *budget -= n;
+    String::from_utf8(buf)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "header not utf-8"))
+}
+
 /// Reads one request off the connection. `Ok(None)` is a clean EOF
 /// (client closed between keep-alive requests); errors are malformed or
 /// oversized requests and should close the connection.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
+    let mut budget = MAX_HEADER_BYTES;
+    let line = read_bounded_line(reader, &mut budget)?;
+    if line.is_empty() {
         return Ok(None);
     }
     let line = line.trim_end_matches(['\r', '\n']);
@@ -78,20 +101,12 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
     if line.ends_with("HTTP/1.0") {
         keep_alive = false;
     }
-    let mut header_bytes = 0usize;
     loop {
-        let mut h = String::new();
-        if reader.read_line(&mut h)? == 0 {
+        let h = read_bounded_line(reader, &mut budget)?;
+        if h.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "eof inside headers",
-            ));
-        }
-        header_bytes += h.len();
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "headers too large",
             ));
         }
         let h = h.trim_end_matches(['\r', '\n']);
@@ -172,4 +187,67 @@ pub fn write_line(stream: &mut TcpStream, body: &str) -> io::Result<()> {
     stream.write_all(body.as_bytes())?;
     stream.write_all(b"\n")?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+
+    const RUN: &[u8] = b"POST /run HTTP/1.1\r\nHost: x\r\nContent-Length: 35\r\n\r\n{\"app\":\"ll\",\"design\":\"C\",\"scale\":\"tiny\"}";
+
+    #[test]
+    fn an_endless_first_line_is_rejected() {
+        let mut r = Cursor::new(vec![b'a'; 2 << 20]);
+        let err = read_request(&mut r).expect_err("2 MiB line without newline");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            r.position() <= MAX_HEADER_BYTES as u64 + 1,
+            "read {} bytes past the cap",
+            r.position()
+        );
+    }
+
+    #[test]
+    fn request_line_counts_toward_the_header_cap() {
+        let mut req = b"GET /".to_vec();
+        req.resize(MAX_HEADER_BYTES - 20, b'a');
+        req.extend_from_slice(b" HTTP/1.1\r\nX-Pad: 0123456789abcdef\r\n\r\n");
+        assert!(read_request(&mut Cursor::new(req)).is_err());
+    }
+
+    #[test]
+    fn mutated_requests_never_panic() {
+        assert!(matches!(
+            read_request(&mut Cursor::new(RUN)),
+            Ok(Some(Request::Http { ref path, .. })) if path == "/run"
+        ));
+        const PIECES: &[u8] = b"\r\n: 0123456789";
+        // xorshift64: deterministic mutations without a dependency.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        for _ in 0..2000 {
+            let mut req = RUN.to_vec();
+            for _ in 0..1 + next(4) {
+                let i = next(req.len() + 1);
+                match next(4) {
+                    0 if i < req.len() => req[i] = next(256) as u8,
+                    1 if i < req.len() => {
+                        req.remove(i);
+                    }
+                    2 => req.insert(i, PIECES[next(PIECES.len())]),
+                    _ => req.truncate(i),
+                }
+            }
+            let mut r = Cursor::new(req);
+            // Drain every request the bytes hold; each read must end in
+            // `Ok` or `Err`, never a panic.
+            while let Ok(Some(_)) = read_request(&mut r) {}
+        }
+    }
 }

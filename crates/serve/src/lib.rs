@@ -97,12 +97,6 @@ pub struct State {
     deduped: AtomicU64,
     cache_hits: AtomicU64,
     in_flight: AtomicU64,
-    // Windowed parallel-execution counters, accumulated from every
-    // point actually simulated (cache hits restore no stats). Zero
-    // across the board means every run took the exact-merge path.
-    par_shards: AtomicU64,
-    par_windows: AtomicU64,
-    par_stall_ns: AtomicU64,
     // Last-completed-run throughput snapshot (latest writer wins):
     // simulated event count and submit→completion wall time, surfaced
     // as events/sec by `/metrics` so a resident server exposes the same
@@ -133,9 +127,6 @@ impl State {
             deduped: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
-            par_shards: AtomicU64::new(0),
-            par_windows: AtomicU64::new(0),
-            par_stall_ns: AtomicU64::new(0),
             last_events: AtomicU64::new(0),
             last_wall_ns: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -258,15 +249,6 @@ impl State {
                         .last_wall_ns
                         .store(wall.as_nanos() as u64, Ordering::SeqCst);
                     state.completed.fetch_add(1, Ordering::SeqCst);
-                    if let Some(p) = result.parallel {
-                        state
-                            .par_shards
-                            .fetch_max(p.shards as u64, Ordering::SeqCst);
-                        state.par_windows.fetch_add(p.windows, Ordering::SeqCst);
-                        state
-                            .par_stall_ns
-                            .fetch_add(p.barrier_stall_ns, Ordering::SeqCst);
-                    }
                     let json = result.to_json();
                     {
                         let mut inflight = state.inflight.lock().unwrap_or_else(|e| e.into_inner());
@@ -304,10 +286,8 @@ impl State {
         }
     }
 
-    /// `GET /metrics`: server counters, windowed parallel-execution
-    /// counters (max shard count seen, windows executed, cumulative
-    /// barrier-stall time), the last completed run's throughput, plus
-    /// the engine's live table.
+    /// `GET /metrics`: server counters, the last completed run's
+    /// throughput, plus the engine's live table.
     pub fn metrics_json(&self) -> String {
         let last_events = self.last_events.load(Ordering::SeqCst);
         let last_wall_ns = self.last_wall_ns.load(Ordering::SeqCst);
@@ -317,16 +297,13 @@ impl State {
             0.0
         };
         format!(
-            "{{\"server\":{{\"accepted\":{},\"rejected\":{},\"deduped\":{},\"cache_hits\":{},\"in_flight\":{},\"completed\":{}}},\"parallel\":{{\"shards\":{},\"windows\":{},\"barrier_stall_ns\":{}}},\"last_run\":{{\"events\":{},\"wall_ns\":{},\"events_per_sec\":{:.1}}},\"sweep\":{}}}",
+            "{{\"server\":{{\"accepted\":{},\"rejected\":{},\"deduped\":{},\"cache_hits\":{},\"in_flight\":{},\"completed\":{}}},\"last_run\":{{\"events\":{},\"wall_ns\":{},\"events_per_sec\":{:.1}}},\"sweep\":{}}}",
             self.accepted.load(Ordering::SeqCst),
             self.rejected.load(Ordering::SeqCst),
             self.deduped.load(Ordering::SeqCst),
             self.cache_hits.load(Ordering::SeqCst),
             self.in_flight.load(Ordering::SeqCst),
             self.completed.load(Ordering::SeqCst),
-            self.par_shards.load(Ordering::SeqCst),
-            self.par_windows.load(Ordering::SeqCst),
-            self.par_stall_ns.load(Ordering::SeqCst),
             last_events,
             last_wall_ns,
             eps,
@@ -631,10 +608,6 @@ mod tests {
             "completed",
         ] {
             assert_eq!(server.u64_field(k), Some(0), "{k}");
-        }
-        let parallel = j.get("parallel").expect("parallel block");
-        for k in ["shards", "windows", "barrier_stall_ns"] {
-            assert_eq!(parallel.u64_field(k), Some(0), "{k}");
         }
         // No run has completed: the throughput snapshot is all zeros.
         let last = j.get("last_run").expect("last_run block");

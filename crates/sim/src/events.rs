@@ -153,7 +153,7 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn pop_run(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
         let before = out.len();
-        let (at, _next) = self.wheel.pop_run(self.now, None, out)?;
+        let at = self.wheel.pop_run(self.now, out)?;
         debug_assert!(at >= self.now);
         self.now = at;
         self.popped += (out.len() - before) as u64;

@@ -12,11 +12,6 @@
 //!   [`wheel`], a two-tier timer wheel (per-tick calendar buckets plus an
 //!   overflow heap) that makes the common bounded-latency schedule/pop
 //!   pattern `O(1)`.
-//! * [`ShardedEventQueue`] and [`shard::WindowedEngine`] — conservative
-//!   parallel-DES building blocks: per-shard timer wheels merged under a
-//!   global `(time, seq)` key (pop order identical to one queue for any
-//!   shard count), and a lock-step windowed engine bounded by cross-shard
-//!   lookahead with canonical barrier merge order.
 //! * [`rng`] — a small, seedable SplitMix64/xoshiro RNG so simulations are
 //!   reproducible without depending on `rand` in the hot path.
 //! * [`fingerprint`] — a stable 64-bit FNV-1a hasher used to
@@ -42,7 +37,6 @@
 pub mod events;
 pub mod fingerprint;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod wheel;
@@ -50,5 +44,4 @@ pub mod wheel;
 pub use events::EventQueue;
 pub use fingerprint::Fnv1a64;
 pub use rng::SimRng;
-pub use shard::{LaneOutcome, ShardLane, ShardedEventQueue};
 pub use time::{SimTime, TICKS_PER_BUS_CYCLE, TICKS_PER_CORE_CYCLE};

@@ -347,74 +347,9 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// `(timestamp, seq)` of the next pending event, without removing
-    /// it. This is the full pop key: two wheels can be merged
-    /// deterministically by comparing `peek_key` results, because
-    /// [`pop`](Self::pop) always returns exactly this pair next.
-    #[inline]
-    pub fn peek_key(&self, now: SimTime) -> Option<(SimTime, u64)> {
-        let wheel = self.front_bucket(now).map(|(at, seq, _)| (at, seq));
-        let heap = self.overflow.peek().map(|o| (o.at, o.seq));
-        match (wheel, heap) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// [`pop`](Self::pop) fused with the follow-up
-    /// [`peek_key`](Self::peek_key): returns the popped entry plus the
-    /// key of the *new* front. When the popped bucket still holds a
-    /// same-tick successor — the common case in burst-heavy schedules —
-    /// that key is read straight off the bucket, skipping the second
-    /// occupancy-bitmap scan a separate `peek_key` call would pay.
-    /// `ShardedEventQueue` re-peeks after every pop, so it rides this.
-    #[inline]
-    #[allow(clippy::type_complexity)]
-    pub fn pop_with_key(
-        &mut self,
-        now: SimTime,
-    ) -> Option<((SimTime, u64, E), Option<(SimTime, u64)>)> {
-        let wheel_front = self.front_bucket(now);
-        let take_overflow = match (wheel_front, self.overflow.peek()) {
-            (None, None) => return None,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (Some((at, seq, _)), Some(o)) => (o.at, o.seq) < (at, seq),
-        };
-        if take_overflow {
-            let o = self.overflow.pop().expect("peeked entry vanished");
-            // Overflow pops are rare; re-scanning here is fine. All
-            // remaining events are >= o.at, so o.at is a valid clock.
-            let key = self.peek_key(o.at);
-            return Some(((o.at, o.seq, o.event), key));
-        }
-        let (_, _, idx) = wheel_front.expect("non-overflow pop with empty wheel");
-        let bucket = &mut self.buckets[idx];
-        let entry = bucket.items.pop_front().expect("occupied bucket was empty");
-        self.wheel_len -= 1;
-        let next_near = match bucket.items.front() {
-            Some(&(at, seq, _)) => Some((at, seq)),
-            None => {
-                self.words[idx >> 6] &= !(1 << (idx & 63));
-                if self.words[idx >> 6] == 0 {
-                    self.summary[idx >> 12] &= !(1 << ((idx >> 6) & 63));
-                }
-                // Every remaining event is >= the popped time, so the
-                // popped time is a valid scan origin.
-                self.front_bucket(entry.0).map(|(at, seq, _)| (at, seq))
-            }
-        };
-        let key = match (next_near, self.overflow.peek().map(|o| (o.at, o.seq))) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        Some((entry, key))
-    }
-
     /// Drains the *run* at the head of the queue — the maximal prefix of
-    /// same-tick events whose `(time, seq)` keys are strictly below
-    /// `limit` (and below this wheel's own overflow front) — appending
-    /// the events to `out` in pop order.
+    /// same-tick events whose `(time, seq)` keys are below this wheel's
+    /// overflow front — appending the events to `out` in pop order.
     ///
     /// A live bucket holds exactly one tick's events in seq order, so
     /// the run is a `VecDeque` prefix: one occupancy-bitmap scan and one
@@ -423,21 +358,12 @@ impl<E> TimerWheel<E> {
     /// global minimum (rare — far-future timers), the run is that
     /// single heap entry.
     ///
-    /// Returns the run's timestamp and the key of the new front (the
-    /// same pair [`pop_with_key`](Self::pop_with_key) would report after
-    /// the last pop of the run), or `None` if the wheel is empty. The
-    /// caller guarantees the current front key is below `limit`; pop
-    /// order over repeated calls is byte-identical to single pops
-    /// because the run boundary only ever *stops early* at keys that
-    /// must interleave with another tier or another wheel.
+    /// Returns the run's timestamp, or `None` if the wheel is empty.
+    /// Pop order over repeated calls is byte-identical to single pops
+    /// because the run boundary only ever *stops early* at a key that
+    /// must interleave with the overflow tier.
     #[inline]
-    #[allow(clippy::type_complexity)]
-    pub fn pop_run(
-        &mut self,
-        now: SimTime,
-        limit: Option<(SimTime, u64)>,
-        out: &mut Vec<E>,
-    ) -> Option<(SimTime, Option<(SimTime, u64)>)> {
+    pub fn pop_run(&mut self, now: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
         let wheel_front = self.front_bucket(now);
         let overflow_key = self.overflow.peek().map(|o| (o.at, o.seq));
         let take_overflow = match (wheel_front, overflow_key) {
@@ -447,28 +373,17 @@ impl<E> TimerWheel<E> {
             (Some((at, seq, _)), Some(ok)) => ok < (at, seq),
         };
         if take_overflow {
-            // Overflow pops are rare; a one-event run keeps them on the
-            // same proven path as `pop_with_key`.
             let o = self.overflow.pop().expect("peeked entry vanished");
             out.push(o.event);
-            let key = self.peek_key(o.at);
-            return Some((o.at, key));
+            return Some(o.at);
         }
         let (at, _, idx) = wheel_front.expect("non-overflow pop with empty wheel");
-        // The run must stop at the caller's limit and at this wheel's
-        // overflow front: an overflow entry can share the tick with a
-        // *smaller* seq (see `overflow_interleaves_with_wheel_by_seq`).
-        let cap = match (limit, overflow_key) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let cap_seq = match cap {
-            None => u64::MAX,
-            Some((ct, _)) if ct > at => u64::MAX,
-            Some((ct, cs)) => {
-                debug_assert!(ct == at, "pop_run limit precedes the front key");
-                cs
-            }
+        // The run must stop at this wheel's overflow front: an overflow
+        // entry can share the tick with a *smaller* seq (see
+        // `overflow_interleaves_with_wheel_by_seq`).
+        let cap_seq = match overflow_key {
+            Some((ot, os)) if ot == at => os,
+            _ => u64::MAX,
         };
         let bucket = &mut self.buckets[idx];
         let mut popped = 0usize;
@@ -480,25 +395,18 @@ impl<E> TimerWheel<E> {
             out.push(ev);
             popped += 1;
         }
-        debug_assert!(popped > 0, "pop_run front key was not below the limit");
+        debug_assert!(
+            popped > 0,
+            "pop_run front key was not below the overflow front"
+        );
         self.wheel_len -= popped;
-        let next_near = match bucket.items.front() {
-            Some(&(t, s, _)) => Some((t, s)),
-            None => {
-                self.words[idx >> 6] &= !(1 << (idx & 63));
-                if self.words[idx >> 6] == 0 {
-                    self.summary[idx >> 12] &= !(1 << ((idx >> 6) & 63));
-                }
-                // Every remaining event is >= the drained tick, so it
-                // is a valid scan origin.
-                self.front_bucket(at).map(|(t, s, _)| (t, s))
+        if bucket.items.is_empty() {
+            self.words[idx >> 6] &= !(1 << (idx & 63));
+            if self.words[idx >> 6] == 0 {
+                self.summary[idx >> 12] &= !(1 << ((idx >> 6) & 63));
             }
-        };
-        let key = match (next_near, overflow_key) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        Some((at, key))
+        }
+        Some(at)
     }
 
     /// `(at, seq, bucket_index)` of the earliest near-tier event, if any.
@@ -707,46 +615,6 @@ mod tests {
         let (t2, s2, e2) = w.pop(t).unwrap();
         assert_eq!((t1, s1, e1), (t, 0, "old-overflow"));
         assert_eq!((t2, s2, e2), (t, 1, "young-near"));
-    }
-
-    #[test]
-    fn pop_with_key_matches_separate_pop_and_peek() {
-        // Same schedule into twin wheels: one drained with the fused
-        // pop_with_key, one with pop + peek_key. Mix same-tick bursts
-        // (bucket-front fast path), sparse near-tier times, and
-        // far-future overflow entries (rare-branch path).
-        let mut fused = TimerWheel::new();
-        let mut split = TimerWheel::new();
-        let mut seq = 0u64;
-        for (at, copies) in [
-            (3u64, 4usize),
-            (3, 1),
-            (90, 2),
-            (4_000, 1),
-            (2 * WHEEL_SLOTS as u64, 2),
-            (2 * WHEEL_SLOTS as u64, 1),
-            (5, 3),
-        ] {
-            for _ in 0..copies {
-                fused.insert(SimTime::ZERO, SimTime::from_ticks(at), seq, seq);
-                split.insert(SimTime::ZERO, SimTime::from_ticks(at), seq, seq);
-                seq += 1;
-            }
-        }
-        let mut now = SimTime::ZERO;
-        loop {
-            let got = fused.pop_with_key(now);
-            let want = split.pop(now);
-            match (got, want) {
-                (None, None) => break,
-                (Some((entry, key)), Some(w)) => {
-                    assert_eq!(entry, w);
-                    now = entry.0;
-                    assert_eq!(key, split.peek_key(now), "fused key diverged at {now:?}");
-                }
-                (g, w) => panic!("length mismatch: {g:?} vs {w:?}"),
-            }
-        }
     }
 
     #[test]

@@ -280,45 +280,3 @@ fn split_tick_runs_continue_on_the_next_call() {
     }
     assert_eq!(order, [(3, 0), (3, 2), (tick, 1), (tick, 3)]);
 }
-
-#[test]
-fn sharded_batched_drain_matches_sharded_single_pops() {
-    use ndpb_sim::ShardedEventQueue;
-    for &shards in &[1usize, 2, 3, 4] {
-        for seed in 0..4u64 {
-            let mut rng = SimRng::new(0xD0_0D + seed);
-            let mut a = ShardedEventQueue::new(shards);
-            let mut b = ShardedEventQueue::new(shards);
-            for id in 0..2_000u32 {
-                let at = a.now().ticks() + random_offset(&mut rng);
-                let shard = rng.next_below(shards as u64) as usize;
-                a.schedule(SimTime::from_ticks(at), shard, id);
-                b.schedule(SimTime::from_ticks(at), shard, id);
-                if rng.chance(0.3) {
-                    let mut run = Vec::new();
-                    a.pop_run(&mut run);
-                    for _ in 0..run.len() {
-                        b.pop();
-                    }
-                }
-            }
-            let mut batched = Vec::new();
-            let mut run = Vec::new();
-            while let Some(at) = a.pop_run(&mut run) {
-                for &e in &run {
-                    batched.push((at.ticks(), e));
-                }
-                run.clear();
-            }
-            let mut single = Vec::new();
-            while let Some((t, e)) = b.pop() {
-                single.push((t.ticks(), e));
-            }
-            assert_eq!(
-                batched, single,
-                "sharded pop_run diverged (shards {shards}, seed {seed})"
-            );
-            assert_eq!(a.popped(), b.popped());
-        }
-    }
-}

@@ -163,24 +163,6 @@ pub trait Application: Send {
     fn checksum(&self) -> u64 {
         0
     }
-
-    /// Whether [`execute`](Self::execute) commutes across tasks run
-    /// inside one conservative parallel window: executions on different
-    /// units of the same epoch may be interleaved in any order without
-    /// changing the application's observable state (checksum, spawned
-    /// children, declared costs). Same-unit executions keep their
-    /// serial order regardless.
-    ///
-    /// This is a *stronger* promise than the epoch contract above —
-    /// there the simulator still executes tasks one at a time in a
-    /// single deterministic global order; here the per-unit orders are
-    /// interleaved nondeterministically in wall-time (though the
-    /// *simulated* schedule stays deterministic). Defaults to `false`;
-    /// the windowed engine falls back to exact-merge serial execution
-    /// for applications that don't opt in.
-    fn parallel_commutes(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

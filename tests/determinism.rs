@@ -45,20 +45,8 @@ fn serialize(results: &[RunResult]) -> Vec<(String, String)> {
         .collect()
 }
 
-#[test]
-fn worker_count_is_observationally_invisible() {
-    let reference = serialize(&Sweeper::new(1).run(points()));
-    for jobs in [2, 8] {
-        let got = serialize(&Sweeper::new(jobs).run(points()));
-        assert_eq!(
-            got, reference,
-            "jobs={jobs} must be byte-identical to jobs=1"
-        );
-    }
-}
-
 /// All six paper designs plus the gather-aware policy toggles, × two
-/// apps: the full matrix the sharded engine must keep byte-stable.
+/// apps.
 fn six_design_points() -> Vec<SweepPoint> {
     let cols = [
         Column::Ndp(DesignPoint::C),
@@ -80,42 +68,40 @@ fn six_design_points() -> Vec<SweepPoint> {
 }
 
 #[test]
-fn shard_count_is_observationally_invisible() {
-    // DESIGN.md §9: sharding one run across per-shard timer wheels must
-    // never show. Every (shards, jobs) combination yields the same
-    // serialized bytes — summary JSON and full per-epoch metrics — and
-    // the same event counts as the serial single-wheel reference, for
-    // all six designs and both apps.
-    let serial = Sweeper::new(1).run(six_design_points());
-    let reference = serialize(&serial);
-    let ref_events: Vec<u64> = serial.iter().map(|r| r.events).collect();
-    for shards in [1, 2, 4] {
-        for jobs in [1, 2] {
-            let got = Sweeper::new(jobs)
-                .with_shards(shards)
-                .run(six_design_points());
-            let events: Vec<u64> = got.iter().map(|r| r.events).collect();
-            assert_eq!(
-                events, ref_events,
-                "event count drifted at shards={shards} jobs={jobs}"
-            );
-            assert_eq!(
-                serialize(&got),
-                reference,
-                "shards={shards} jobs={jobs} must be byte-identical to the serial run"
-            );
-        }
+fn worker_count_is_observationally_invisible() {
+    let reference = serialize(&Sweeper::new(1).run(points()));
+    for jobs in [2, 8] {
+        let got = serialize(&Sweeper::new(jobs).run(points()));
+        assert_eq!(
+            got, reference,
+            "jobs={jobs} must be byte-identical to jobs=1"
+        );
     }
 }
 
 #[test]
-fn cached_results_cross_shard_counts_both_ways() {
-    // A result cached at shards=1 must be a hit at shards=4 and vice
-    // versa: shard count is excluded from the config fingerprint, so
-    // the point key — and therefore the on-disk cache entry — is
-    // shared. Checked for a baseline design and for the gather-aware
-    // policy (whose extra knobs must not leak shard count into the
-    // fingerprint either).
+fn design_matrix_is_worker_count_invisible() {
+    // The full design matrix, including H, R, W+GA and O+GA, × two apps:
+    // same serialized bytes (summary JSON and per-epoch metrics) and
+    // same event counts at every worker count.
+    let serial = Sweeper::new(1).run(six_design_points());
+    let reference = serialize(&serial);
+    let ref_events: Vec<u64> = serial.iter().map(|r| r.events).collect();
+    let got = Sweeper::new(2).run(six_design_points());
+    let events: Vec<u64> = got.iter().map(|r| r.events).collect();
+    assert_eq!(events, ref_events, "event count drifted at jobs=2");
+    assert_eq!(
+        serialize(&got),
+        reference,
+        "jobs=2 must be byte-identical to jobs=1 on the design matrix"
+    );
+}
+
+#[test]
+fn cached_results_replay_byte_identically() {
+    // A result stored by one sweep must be a warm hit for the next, with
+    // the same bytes. Checked for a baseline design and for the
+    // gather-aware policy, whose extra knobs are part of the key.
     let simulated = |s: &Sweeper| {
         s.metrics()
             .live_report()
@@ -139,34 +125,25 @@ fn cached_results_cross_shard_counts_both_ways() {
             ),
         ]
     };
-    for (store_shards, probe_shards) in [(1usize, 4usize), (4, 1)] {
-        let dir = std::env::temp_dir().join(format!(
-            "ndpb-shard-cache-{store_shards}-{probe_shards}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+    let dir = std::env::temp_dir().join(format!("ndpb-replay-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
 
-        let writer = Sweeper::new(1).with_cache(&dir).with_shards(store_shards);
-        let stored = serialize(&writer.run(point()));
-        assert_eq!(simulated(&writer), 2, "cold cache simulates every point");
+    let writer = Sweeper::new(1).with_cache(&dir);
+    let stored = serialize(&writer.run(point()));
+    assert_eq!(simulated(&writer), 2, "cold cache simulates every point");
 
-        let reader = Sweeper::new(1).with_cache(&dir).with_shards(probe_shards);
-        let probed = serialize(&reader.run(point()));
-        assert_eq!(
-            hits(&reader),
-            2,
-            "shards={store_shards} entries must hit at shards={probe_shards}"
-        );
-        assert_eq!(simulated(&reader), 0, "warm probe must not simulate");
-        assert_eq!(probed, stored, "cache round-trip changed bytes");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let reader = Sweeper::new(1).with_cache(&dir);
+    let probed = serialize(&reader.run(point()));
+    assert_eq!(hits(&reader), 2, "stored entries must hit");
+    assert_eq!(simulated(&reader), 0, "warm probe must not simulate");
+    assert_eq!(probed, stored, "cache round-trip changed bytes");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn profiled_runs_are_byte_identical_to_the_sweep() {
-    // `--profile` arms the phase profiler, which forces the serial
-    // batched dispatch loop. The measurement must be invisible: result
+    // `--profile` arms the phase profiler around the batched dispatch
+    // loop. The measurement must be invisible: result
     // bytes (summary JSON and per-epoch metrics) match the unprofiled
     // sweep output exactly, while the attached stats account for every
     // popped event.
