@@ -9,8 +9,8 @@
 //! Subcommands: `table1 table2 fig2 fig10 fig11 fig12 fig13 fig14a
 //! fig14b fig15 fig16a fig16b fig16c fig16d split-dimm dimm-link
 //! audit gather all`, plus `serve` (the resident ndpb-serve front-end)
-//! and `bench` (engine throughput; `--small-tier` appends the
-//! Small-scale W vs W+GA gather-traffic section).
+//! and `trace` (one instrumented run). Simulator wall time is measured
+//! by the repository benchmark in `perfbench/`, not here.
 //!
 //! `serve [--port N] [--jobs N] [--cache-dir D] [--max-queue N]
 //! [--max-points N]` runs the simulator as a long-running service:
@@ -33,6 +33,9 @@
 //! `--cache-dir`, disable with `--no-cache`); a warm rerun simulates
 //! nothing — the stderr sweep summary shows the hit/miss counters.
 //!
+//! Unknown flags, missing or unparsable flag values and unknown
+//! application names exit 2 with the usage line.
+//!
 //! Absolute numbers will not match the paper (different substrate); the
 //! *shape* — orderings, approximate factors, crossovers — is the
 //! reproduction target. Each section prints the paper's reported
@@ -45,15 +48,12 @@ use ndpb_core::design::DesignPoint;
 use ndpb_core::result::geomean;
 use ndpb_dram::Geometry;
 use ndpb_sketch::SketchConfig;
-use ndpb_workloads::{Scale, APP_NAMES};
+use ndpb_workloads::{Scale, APP_NAMES, EXTRA_APP_NAMES};
 
-const USAGE: &str = "usage: repro <table1|table2|fig2|fig10|fig11|fig12|fig13|fig14a|fig14b|fig15|fig16a|fig16b|fig16c|fig16d|split-dimm|dimm-link|audit|gather|bench|serve|trace|all> [--tiny|--small|--full] [--apps a,b,c] [--jobs N] [--cache-dir path] [--no-cache] [--audit] [--steal-budget N] [--json path] [--trace path] [--metrics-json path] [--reps N] [--quick] [--small-tier] [--profile] [--full-tier] [--port N] [--max-queue N] [--max-points N]";
+const USAGE: &str = "usage: repro <table1|table2|fig2|fig10|fig11|fig12|fig13|fig14a|fig14b|fig15|fig16a|fig16b|fig16c|fig16d|split-dimm|dimm-link|audit|gather|serve|trace|all> [--tiny|--small|--full] [--apps a,b,c] [--jobs N] [--cache-dir path] [--no-cache] [--audit] [--steal-budget N] [--json path] [--trace path] [--metrics-json path] [--port N] [--max-queue N] [--max-points N]";
 
 struct Opts {
     scale: Scale,
-    /// Whether a scale flag was given explicitly (`bench` defaults to
-    /// tiny rather than the sweep default of small).
-    scale_explicit: bool,
     apps: Vec<String>,
     json: Option<String>,
     trace: Option<String>,
@@ -65,20 +65,6 @@ struct Opts {
     /// `gather`: override `SystemConfig::steal_budget_gxfer` (`G_xfer`
     /// multiples of steal bytes per `W_th` stolen; default 2).
     steal_budget: Option<u32>,
-    /// `bench --small-tier`: append the Small-scale W vs W+GA section
-    /// (gather bytes + makespan) to the JSON report.
-    small_tier: bool,
-    /// `bench`: repetitions per design (default 5, or 2 with --quick).
-    reps: Option<u32>,
-    /// `bench --profile`: append a profiled pass per design attributing
-    /// wall time to queue ops vs. handler dispatch vs. finalize, plus
-    /// the same-tick run-length histogram.
-    profile: bool,
-    /// `bench --full-tier`: append a Scale::Full per-design tier with a
-    /// budgeted rep count (Full runs cost minutes, not milliseconds).
-    full_tier: bool,
-    /// `bench`: fewer reps for a CI smoke.
-    quick: bool,
     /// `serve`: TCP port (0 picks an ephemeral one).
     port: u16,
     /// `serve`: admission bound on unique in-flight points.
@@ -87,119 +73,73 @@ struct Opts {
     max_points: usize,
 }
 
+/// Prints `msg` and the usage line, then exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value following `flag`, parsed as `T`. A missing or unparsable
+/// value is a usage error, never a silent default.
+fn flag_value<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>, flag: &str) -> T {
+    match it.next() {
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| usage_error(&format!("invalid value {v:?} for {flag}"))),
+        None => usage_error(&format!("{flag} expects a value")),
+    }
+}
+
 fn parse_opts(args: &[String]) -> Opts {
-    let mut scale = Scale::Small;
-    let mut scale_explicit = false;
-    let mut apps: Vec<String> = APP_NAMES.iter().map(|s| s.to_string()).collect();
-    let mut reps = None;
-    let mut quick = false;
-    let mut json = None;
-    let mut trace = None;
-    let mut metrics_json = None;
-    let mut jobs = None;
-    let mut cache_dir = None;
-    let mut no_cache = false;
-    let mut audit = false;
-    let mut steal_budget = None;
-    let mut small_tier = false;
-    let mut profile = false;
-    let mut full_tier = false;
-    let mut port = 7878u16;
-    let mut max_queue = 256usize;
-    let mut max_points = 64usize;
+    let mut o = Opts {
+        scale: Scale::Small,
+        apps: APP_NAMES.iter().map(|s| s.to_string()).collect(),
+        json: None,
+        trace: None,
+        metrics_json: None,
+        jobs: None,
+        cache_dir: None,
+        no_cache: false,
+        audit: false,
+        steal_budget: None,
+        port: 7878,
+        max_queue: 256,
+        max_points: 64,
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tiny" => (scale, scale_explicit) = (Scale::Tiny, true),
-            "--small" => (scale, scale_explicit) = (Scale::Small, true),
-            "--full" => (scale, scale_explicit) = (Scale::Full, true),
+        let flag = a.as_str();
+        match flag {
+            "--tiny" => o.scale = Scale::Tiny,
+            "--small" => o.scale = Scale::Small,
+            "--full" => o.scale = Scale::Full,
             "--apps" => {
-                if let Some(list) = it.next() {
-                    apps = list.split(',').map(str::to_string).collect();
+                let list: String = flag_value(&mut it, flag);
+                o.apps = list.split(',').map(str::to_string).collect();
+                if let Some(bad) = o
+                    .apps
+                    .iter()
+                    .find(|a| !APP_NAMES.iter().chain(&EXTRA_APP_NAMES).any(|n| n == a))
+                {
+                    usage_error(&format!("unknown application {bad:?}"));
                 }
             }
-            "--json" => json = it.next().cloned(),
-            "--trace" => trace = it.next().cloned(),
-            "--metrics-json" => metrics_json = it.next().cloned(),
-            "--jobs" => {
-                jobs = it.next().and_then(|v| v.parse().ok());
-                if jobs.is_none() {
-                    eprintln!("--jobs expects a worker count, e.g. --jobs 8");
-                    std::process::exit(2);
-                }
-            }
-            "--cache-dir" => cache_dir = it.next().cloned(),
-            "--no-cache" => no_cache = true,
-            "--audit" => audit = true,
-            "--steal-budget" => {
-                steal_budget = it.next().and_then(|v| v.parse().ok());
-            }
-            "--small-tier" => small_tier = true,
-            "--profile" => profile = true,
-            "--full-tier" => full_tier = true,
-            "--reps" => {
-                reps = it.next().and_then(|v| v.parse().ok());
-                if reps.is_none() {
-                    eprintln!("--reps expects a count, e.g. --reps 5");
-                    std::process::exit(2);
-                }
-            }
-            "--quick" => quick = true,
-            "--port" => {
-                port = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(p) => p,
-                    None => {
-                        eprintln!("--port expects a TCP port, e.g. --port 7878");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--max-queue" => {
-                max_queue = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("--max-queue expects a count, e.g. --max-queue 256");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--max-points" => {
-                max_points = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("--max-points expects a count, e.g. --max-points 64");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
+            "--json" => o.json = Some(flag_value(&mut it, flag)),
+            "--trace" => o.trace = Some(flag_value(&mut it, flag)),
+            "--metrics-json" => o.metrics_json = Some(flag_value(&mut it, flag)),
+            "--jobs" => o.jobs = Some(flag_value(&mut it, flag)),
+            "--cache-dir" => o.cache_dir = Some(flag_value(&mut it, flag)),
+            "--no-cache" => o.no_cache = true,
+            "--audit" => o.audit = true,
+            "--steal-budget" => o.steal_budget = Some(flag_value(&mut it, flag)),
+            "--port" => o.port = flag_value(&mut it, flag),
+            "--max-queue" => o.max_queue = flag_value(&mut it, flag),
+            "--max-points" => o.max_points = flag_value(&mut it, flag),
+            other => usage_error(&format!("unknown flag {other:?}")),
         }
     }
-    Opts {
-        scale,
-        scale_explicit,
-        apps,
-        json,
-        trace,
-        metrics_json,
-        jobs,
-        cache_dir,
-        no_cache,
-        audit,
-        steal_budget,
-        small_tier,
-        reps,
-        quick,
-        profile,
-        full_tier,
-        port,
-        max_queue,
-        max_points,
-    }
+    o
 }
 
 /// `repro serve`: run the resident simulation service (see
@@ -818,464 +758,6 @@ fn dimm_link(o: &Opts) {
     println!("geomean {:>11.2}x", geomean(&sp));
 }
 
-/// `repro bench`: wall-clock benchmark of the simulation engine itself.
-///
-/// Runs the fig10-style sweep (all apps × the six golden-column
-/// designs C/B/W/O/H/R) `reps` times per design — sequentially,
-/// bypassing the result cache so every run is a real simulation — and
-/// reports the median wall seconds and events/sec per design. Writes
-/// `BENCH_repro.json` (or `--json path`) for machine consumption.
-/// Defaults to `--tiny` so a full bench stays in seconds.
-fn bench_engine(o: &Opts) {
-    let reps = o.reps.unwrap_or(if o.quick { 2 } else { 5 });
-    let scale = if o.scale_explicit {
-        o.scale
-    } else {
-        Scale::Tiny
-    };
-    let apps = app_refs(o);
-    let cols: Vec<Column> = vec![
-        Column::Ndp(DesignPoint::C),
-        Column::Ndp(DesignPoint::B),
-        Column::Ndp(DesignPoint::W),
-        Column::Ndp(DesignPoint::O),
-        Column::Host,
-        Column::Ndp(DesignPoint::R),
-    ];
-    println!(
-        "== engine bench: {} apps x {} designs, {} rep(s), scale {:?} ==",
-        apps.len(),
-        cols.len(),
-        reps,
-        scale
-    );
-    let mut walls: Vec<Vec<f64>> = vec![Vec::new(); cols.len()];
-    let mut events: Vec<u64> = vec![0; cols.len()];
-    for rep in 0..reps {
-        for (ci, col) in cols.iter().enumerate() {
-            let start = std::time::Instant::now();
-            let mut ev = 0u64;
-            for app in &apps {
-                let r = match col {
-                    Column::Ndp(d) => ndpb_bench::run_one(app, *d, SystemConfig::table1(), scale),
-                    Column::Host => ndpb_bench::run_host(app, SystemConfig::table1(), scale),
-                };
-                ev += r.events;
-            }
-            walls[ci].push(start.elapsed().as_secs_f64());
-            // Simulations are deterministic: the event count per design
-            // must not vary across reps.
-            if rep == 0 {
-                events[ci] = ev;
-            } else {
-                assert_eq!(events[ci], ev, "nondeterministic event count for {col:?}");
-            }
-        }
-    }
-    println!(
-        "\n{:<8}{:>12}{:>14}{:>16}",
-        "design", "events", "median s", "events/sec"
-    );
-    let mut rows = Vec::new();
-    let mut stat_rows: Vec<(String, u64, f64)> = Vec::new();
-    let mut total_events = 0u64;
-    let mut total_median = 0.0;
-    for (ci, col) in cols.iter().enumerate() {
-        let med = ndpb_bench::timing::median(&walls[ci]);
-        let eps = if med > 0.0 {
-            events[ci] as f64 / med
-        } else {
-            0.0
-        };
-        println!(
-            "{:<8}{:>12}{:>14.4}{:>16.0}",
-            col.label(),
-            events[ci],
-            med,
-            eps
-        );
-        total_events += events[ci];
-        total_median += med;
-        stat_rows.push((col.label(), events[ci], eps));
-        let wall_list = walls[ci]
-            .iter()
-            .map(|w| format!("{w:.6}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        rows.push(format!(
-            "{{\"design\":\"{}\",\"events\":{},\"wall_seconds\":[{}],\"median_wall_seconds\":{:.6},\"events_per_sec\":{:.1}}}",
-            col.label(),
-            events[ci],
-            wall_list,
-            med,
-            eps
-        ));
-    }
-    let total_eps = if total_median > 0.0 {
-        total_events as f64 / total_median
-    } else {
-        0.0
-    };
-    println!(
-        "{:<8}{:>12}{:>14.4}{:>16.0}",
-        "total", total_events, total_median, total_eps
-    );
-    // --small-tier: the Small-scale gather-traffic tier (ROADMAP item
-    // 1 acceptance: W+GA moves >= 2x fewer gather bytes than W with
-    // makespan no worse). One pass per design — the numbers recorded
-    // are deterministic byte counts and makespans, not wall times.
-    let mut small_tier_json = String::new();
-    if o.small_tier {
-        let tier_cols = [DesignPoint::W, DesignPoint::WGather];
-        let mut tier_rows = Vec::new();
-        let mut gathers = [0u64; 2];
-        let mut app_gathers: Vec<Vec<f64>> = vec![Vec::new(); 2];
-        let mut makespans: Vec<Vec<f64>> = vec![Vec::new(); 2];
-        println!(
-            "\n{:<8}{:>14}{:>18}{:>12}   (Small-scale gather tier)",
-            "design", "gather KB", "geomean ticks", "events"
-        );
-        for (ci, d) in tier_cols.iter().enumerate() {
-            let mut ev = 0u64;
-            for app in &apps {
-                let r = ndpb_bench::run_one(app, *d, SystemConfig::table1(), Scale::Small);
-                let g = r.metrics.final_value("ledger/comm/gather").unwrap_or(0);
-                gathers[ci] += g;
-                app_gathers[ci].push(g.max(1) as f64);
-                makespans[ci].push(r.makespan.ticks() as f64);
-                ev += r.events;
-            }
-            let gm = geomean(&makespans[ci]);
-            println!(
-                "{:<8}{:>14}{:>18.0}{:>12}",
-                d.to_string(),
-                gathers[ci] >> 10,
-                gm,
-                ev
-            );
-            tier_rows.push(format!(
-                "{{\"design\":\"{d}\",\"gather_bytes\":{},\"geomean_makespan_ticks\":{gm:.1},\"events\":{ev}}}",
-                gathers[ci]
-            ));
-        }
-        // Geomean of per-app gather ratios (== ratio of geomeans), the
-        // same statistic the invariants suite pins — a sum would let
-        // one heavy app's traffic floor mask the per-app reduction.
-        let reduction = geomean(&app_gathers[0]) / geomean(&app_gathers[1]);
-        let perf = geomean(&makespans[0]) / geomean(&makespans[1]);
-        println!("gather reduction W+GA vs W: {reduction:.2}x   W+GA speedup over W: {perf:.3}x");
-        // Non-gating delta against the committed baseline's small tier.
-        if let Ok(text) = std::fs::read_to_string("docs/repro/BENCH_repro.json") {
-            if let Ok(base) = ndpb_bench::json::Json::parse(&text) {
-                if let Some(br) = base
-                    .get("small_tier")
-                    .and_then(|t| t.get("gather_reduction_x"))
-                    .and_then(|v| v.as_f64())
-                {
-                    println!(
-                        "[baseline small-tier gather reduction {br:.2}x, this run {reduction:.2}x]"
-                    );
-                }
-            }
-        }
-        small_tier_json = format!(
-            "\"small_tier\":{{\"scale\":\"Small\",\"designs\":[\n{}\n],\"gather_reduction_x\":{reduction:.3},\"speedup_x\":{perf:.4}}},",
-            tier_rows.join(",\n")
-        );
-    }
-    // --profile: one extra profiled pass per design, run *after* the
-    // timing reps so the profiler's clock reads never contaminate the
-    // medians above. Attribution: queue ops vs. handler dispatch vs.
-    // finalize, plus the same-tick run-length histogram that shows what
-    // batched dispatch is fusing (DESIGN.md §3c).
-    let mut profile_rows: Vec<(String, ndpb_core::result::ProfileStats)> = Vec::new();
-    let mut profile_json = String::new();
-    if o.profile {
-        println!(
-            "\n{:<8}{:>9}{:>10}{:>11}{:>11}{:>12}   (profiled pass)",
-            "design", "queue%", "dispatch%", "finalize%", "ev/batch", "batches"
-        );
-        let mut agg_rows = Vec::new();
-        for col in &cols {
-            let mut agg = ndpb_core::result::ProfileStats::default();
-            for app in &apps {
-                let r = ndpb_bench::run_profiled(app, *col, SystemConfig::table1(), scale);
-                agg.merge(
-                    r.profile
-                        .as_ref()
-                        .expect("profiled run must report a profile"),
-                );
-            }
-            let total = (agg.queue_ns + agg.dispatch_ns + agg.finalize_ns).max(1) as f64;
-            println!(
-                "{:<8}{:>8.1}%{:>9.1}%{:>10.1}%{:>11.2}{:>12}",
-                col.label(),
-                100.0 * agg.queue_ns as f64 / total,
-                100.0 * agg.dispatch_ns as f64 / total,
-                100.0 * agg.finalize_ns as f64 / total,
-                agg.events_per_batch(),
-                agg.batches
-            );
-            agg_rows.push(format!(
-                "{{\"design\":\"{}\",\"stats\":{}}}",
-                col.label(),
-                agg.to_json()
-            ));
-            profile_rows.push((col.label(), agg));
-        }
-        let mut hist = [0u64; 8];
-        for (_, p) in &profile_rows {
-            for (h, v) in hist.iter_mut().zip(p.run_len_hist) {
-                *h += v;
-            }
-        }
-        let total_batches: u64 = hist.iter().sum::<u64>().max(1);
-        let line: Vec<String> = ndpb_core::result::ProfileStats::RUN_LEN_LABELS
-            .iter()
-            .zip(hist)
-            .map(|(l, v)| format!("{l}:{:.1}%", 100.0 * v as f64 / total_batches as f64))
-            .collect();
-        println!("events-per-pop histogram  {}", line.join("  "));
-        profile_json = format!("\"profile\":[\n{}\n],", agg_rows.join(",\n"));
-    }
-    // --full-tier: the first Scale::Full per-design tier. Full runs
-    // cost minutes, not milliseconds, so the rep count is budgeted
-    // (default 1 with --quick, else 2) — the numbers are a trajectory
-    // marker, not a micro-benchmark.
-    let mut full_rows: Vec<(String, u64, f64)> = Vec::new();
-    let mut full_json = String::new();
-    if o.full_tier {
-        let full_reps = if o.quick { 1 } else { 2 };
-        println!(
-            "\n== Full tier: {} apps x {} designs, {} rep(s), scale Full ==",
-            apps.len(),
-            cols.len(),
-            full_reps
-        );
-        let mut fwalls: Vec<Vec<f64>> = vec![Vec::new(); cols.len()];
-        let mut fevents: Vec<u64> = vec![0; cols.len()];
-        for rep in 0..full_reps {
-            for (ci, col) in cols.iter().enumerate() {
-                let start = std::time::Instant::now();
-                let mut ev = 0u64;
-                for app in &apps {
-                    let r = match col {
-                        Column::Ndp(d) => {
-                            ndpb_bench::run_one(app, *d, SystemConfig::table1(), Scale::Full)
-                        }
-                        Column::Host => {
-                            ndpb_bench::run_host(app, SystemConfig::table1(), Scale::Full)
-                        }
-                    };
-                    ev += r.events;
-                }
-                fwalls[ci].push(start.elapsed().as_secs_f64());
-                if rep == 0 {
-                    fevents[ci] = ev;
-                } else {
-                    assert_eq!(fevents[ci], ev, "nondeterministic event count for {col:?}");
-                }
-            }
-        }
-        println!(
-            "{:<8}{:>12}{:>14}{:>16}",
-            "design", "events", "median s", "events/sec"
-        );
-        let mut frows = Vec::new();
-        let (mut ftotal_events, mut ftotal_median) = (0u64, 0.0f64);
-        for (ci, col) in cols.iter().enumerate() {
-            let med = ndpb_bench::timing::median(&fwalls[ci]);
-            let eps = if med > 0.0 {
-                fevents[ci] as f64 / med
-            } else {
-                0.0
-            };
-            println!(
-                "{:<8}{:>12}{:>14.4}{:>16.0}",
-                col.label(),
-                fevents[ci],
-                med,
-                eps
-            );
-            ftotal_events += fevents[ci];
-            ftotal_median += med;
-            full_rows.push((col.label(), fevents[ci], eps));
-            frows.push(format!(
-                "{{\"design\":\"{}\",\"events\":{},\"median_wall_seconds\":{:.6},\"events_per_sec\":{:.1}}}",
-                col.label(),
-                fevents[ci],
-                med,
-                eps
-            ));
-        }
-        let ftotal_eps = if ftotal_median > 0.0 {
-            ftotal_events as f64 / ftotal_median
-        } else {
-            0.0
-        };
-        println!(
-            "{:<8}{:>12}{:>14.4}{:>16.0}",
-            "total", ftotal_events, ftotal_median, ftotal_eps
-        );
-        full_json = format!(
-            "\"full_tier\":{{\"scale\":\"Full\",\"reps\":{full_reps},\"designs\":[\n{}\n],\"total_events\":{ftotal_events},\"total_median_wall_seconds\":{ftotal_median:.6},\"total_events_per_sec\":{ftotal_eps:.1}}},",
-            frows.join(",\n")
-        );
-    }
-    // Provenance: timings from hosts with different thread counts are
-    // not comparable.
-    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let body = format!(
-        "{{\"bench\":\"fig10\",\"scale\":\"{:?}\",\"reps\":{},\"host_parallelism\":{host_parallelism},\"apps\":[{}],\"designs\":[\n{}\n],{}{}{}\"total_events\":{},\"total_median_wall_seconds\":{:.6},\"total_events_per_sec\":{:.1}}}\n",
-        scale,
-        reps,
-        apps.iter()
-            .map(|a| format!("\"{a}\""))
-            .collect::<Vec<_>>()
-            .join(","),
-        rows.join(",\n"),
-        small_tier_json,
-        profile_json,
-        full_json,
-        total_events,
-        total_median,
-        total_eps
-    );
-    let path = o.json.as_deref().unwrap_or("BENCH_repro.json");
-    match std::fs::write(path, &body) {
-        Ok(()) => eprintln!("[wrote {path}]"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
-    print_baseline_delta(&stat_rows, scale, &profile_rows, &full_rows);
-}
-
-/// Compares a `repro bench` run against the committed baseline in
-/// `docs/repro/BENCH_repro.json`, when one exists. Throughput ratios
-/// are informational (machines differ); event-count drift is called
-/// out loudly because the simulator is deterministic — a changed count
-/// means changed behaviour, not noise.
-fn print_baseline_delta(
-    rows: &[(String, u64, f64)],
-    scale: Scale,
-    profile_rows: &[(String, ndpb_core::result::ProfileStats)],
-    full_rows: &[(String, u64, f64)],
-) {
-    let path = std::path::Path::new("docs/repro/BENCH_repro.json");
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return;
-    };
-    let Ok(base) = ndpb_bench::json::Json::parse(&text) else {
-        eprintln!(
-            "[baseline {} is not valid JSON; skipping delta]",
-            path.display()
-        );
-        return;
-    };
-    let base_scale = base.str_field("scale").unwrap_or("?");
-    if base_scale != format!("{scale:?}") {
-        eprintln!(
-            "[baseline {} is scale {base_scale}, this run is {scale:?}; skipping delta]",
-            path.display()
-        );
-        return;
-    }
-    let Some(designs) = base.get("designs").and_then(|d| d.as_arr()) else {
-        return;
-    };
-    println!(
-        "\nvs committed baseline ({}, reps={}):",
-        path.display(),
-        base.u64_field("reps").unwrap_or(0)
-    );
-    println!(
-        "{:<8}{:>14}{:>14}{:>10}",
-        "design", "base ev/s", "now ev/s", "ratio"
-    );
-    for (label, events, eps) in rows {
-        let Some(b) = designs
-            .iter()
-            .find(|d| d.str_field("design") == Some(label.as_str()))
-        else {
-            println!("{label:<8}{:>14}{:>14.0}{:>10}", "-", eps, "new");
-            continue;
-        };
-        let base_eps = b
-            .get("events_per_sec")
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0);
-        let ratio = if base_eps > 0.0 { eps / base_eps } else { 0.0 };
-        print!("{label:<8}{base_eps:>14.0}{eps:>14.0}{ratio:>9.2}x");
-        match b.u64_field("events") {
-            Some(be) if be != *events => {
-                println!("   EVENT-COUNT DRIFT: {be} -> {events}");
-            }
-            _ => println!(),
-        }
-    }
-    // Newer sections diff only when both sides carry them: old
-    // baselines (and runs without the flags) silently skip.
-    if !profile_rows.is_empty() {
-        if let Some(base_prof) = base.get("profile").and_then(|p| p.as_arr()) {
-            println!(
-                "\nprofile vs baseline: {:<8}{:>12}{:>12}{:>14}{:>14}",
-                "design", "base q%", "now q%", "base ev/b", "now ev/b"
-            );
-            for (label, p) in profile_rows {
-                let Some(stats) = base_prof
-                    .iter()
-                    .find(|d| d.str_field("design") == Some(label.as_str()))
-                    .and_then(|d| d.get("stats"))
-                else {
-                    continue;
-                };
-                let f = |k: &str| stats.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
-                let base_total = (f("queue_ns") + f("dispatch_ns") + f("finalize_ns")).max(1.0);
-                let now_total = (p.queue_ns + p.dispatch_ns + p.finalize_ns).max(1) as f64;
-                println!(
-                    "{:<29}{:>11.1}%{:>11.1}%{:>14.2}{:>14.2}",
-                    label,
-                    100.0 * f("queue_ns") / base_total,
-                    100.0 * p.queue_ns as f64 / now_total,
-                    f("events_per_batch"),
-                    p.events_per_batch()
-                );
-            }
-        }
-    }
-    if !full_rows.is_empty() {
-        if let Some(base_full) = base
-            .get("full_tier")
-            .and_then(|t| t.get("designs"))
-            .and_then(|d| d.as_arr())
-        {
-            println!(
-                "\nfull tier vs baseline: {:<8}{:>14}{:>14}{:>10}",
-                "design", "base ev/s", "now ev/s", "ratio"
-            );
-            for (label, events, eps) in full_rows {
-                let Some(b) = base_full
-                    .iter()
-                    .find(|d| d.str_field("design") == Some(label.as_str()))
-                else {
-                    continue;
-                };
-                let base_eps = b
-                    .get("events_per_sec")
-                    .and_then(|v| v.as_f64())
-                    .unwrap_or(0.0);
-                let ratio = if base_eps > 0.0 { eps / base_eps } else { 0.0 };
-                print!("{label:<31}{base_eps:>14.0}{eps:>14.0}{ratio:>9.2}x");
-                match b.u64_field("events") {
-                    Some(be) if be != *events => {
-                        println!("   EVENT-COUNT DRIFT: {be} -> {events}");
-                    }
-                    _ => println!(),
-                }
-            }
-        }
-    }
-}
-
 /// `repro audit`: fully-audited B-vs-W runs with the per-cause traffic
 /// ledger broken down Figure-13-style. Every epoch boundary checks
 /// message conservation, toArrive balance, dataBorrowed inclusivity,
@@ -1489,7 +971,6 @@ fn main() {
         "dimm-link" => dimm_link(&o),
         "audit" => audit_breakdown(&o),
         "gather" => gather_aware(&o),
-        "bench" => bench_engine(&o),
         "serve" => serve(&o),
         "all" => {
             table1();
@@ -1519,11 +1000,7 @@ fn main() {
             println!();
             dimm_link(&o);
         }
-        other => {
-            eprintln!("unknown subcommand {other:?}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown subcommand {other:?}")),
     }
     let engine = ndpb_bench::sweep::global();
     if let Some(summary) = engine.summary() {

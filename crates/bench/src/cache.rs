@@ -351,6 +351,37 @@ mod tests {
     }
 
     #[test]
+    fn mutated_documents_decode_or_miss_never_panic() {
+        let doc = encode_result(&run_one("ll", DesignPoint::B, tiny_cfg(), Scale::Tiny));
+        assert!(decode_result(&doc).is_some());
+        const PIECES: &[u8] = b"{}[]\",:-.e0123456789 \\";
+        // xorshift64: deterministic mutations without a dependency.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        for _ in 0..2000 {
+            let mut bytes = doc.clone().into_bytes();
+            for _ in 0..1 + next(4) {
+                let i = next(bytes.len() + 1);
+                match next(4) {
+                    0 if i < bytes.len() => bytes[i] = next(256) as u8,
+                    1 if i < bytes.len() => {
+                        bytes.remove(i);
+                    }
+                    2 => bytes.insert(i, PIECES[next(PIECES.len())]),
+                    _ => bytes.truncate(i),
+                }
+            }
+            // Whatever the bytes, decoding yields `Some` or `None`.
+            let _ = decode_result(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    #[test]
     fn decode_rejects_missing_fields() {
         assert!(decode_result("{}").is_none());
         assert!(decode_result("not json").is_none());

@@ -11,8 +11,19 @@
 //! Integers are kept exact (`u64`/`i64` variants, no round-trip through
 //! `f64`): cached results encode `f64` fields by IEEE-754 *bit
 //! pattern*, and those bits must survive parsing unchanged.
+//!
+//! The parser fails closed on hostile input — every `POST /run` body
+//! and every cache file goes through it. Nesting deeper than
+//! [`MAX_DEPTH`] is an error rather than a stack overflow, and strings
+//! are copied in runs between escapes, so parse time stays linear in
+//! the input length.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The repo's
+/// writers emit at most about four levels; the cap only exists so a
+/// crafted document cannot recurse the parser off its thread stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,13 +65,14 @@ impl Json {
     /// Parses a complete JSON document (trailing whitespace allowed).
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
+            text,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(p.err("trailing garbage"));
         }
         Ok(v)
@@ -133,8 +145,10 @@ impl Json {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -143,7 +157,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -162,7 +176,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -172,8 +186,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' | b'[' => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(Json::Str(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
@@ -257,13 +282,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = s.chars().next().ok_or_else(|| self.err("unexpected end"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote or backslash in
+                    // one go. Both are ASCII, so the run ends on a char
+                    // boundary of the (valid UTF-8) input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -295,7 +321,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         if fractional {
             text.parse::<f64>()
                 .map(Json::Float)
@@ -365,6 +391,33 @@ mod tests {
         for bad in ["{", "[1,", "\"open", "{\"a\":}", "1 2", "tru", "{'a':1}"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.msg, "nesting too deep");
+        assert_eq!(err.at, MAX_DEPTH);
+        // 1 MiB of open brackets: an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(1 << 20)).is_err());
+        let objects = "{\"a\":".repeat(1 << 16);
+        assert!(Json::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // One 1 MiB string value, multi-byte characters and escapes
+        // included: rescanning the rest of the input per character
+        // would take minutes here.
+        let body = r#"é\\\"x"#.repeat(1 << 18);
+        let doc = format!("{{\"s\":\"{body}\"}}");
+        assert!(doc.len() > 1 << 20);
+        let j = Json::parse(&doc).unwrap();
+        let s = j.str_field("s").unwrap();
+        assert_eq!(s.chars().count(), 4 << 18);
+        assert!(s.starts_with("é\\\"xé"));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! aggregate the numbers each table/figure of the paper reports.
 //!
 //! The `repro` binary (`src/bin/repro.rs`) exposes one subcommand per
-//! table/figure; the `Instant`-based benches under `benches/` (see
-//! [`timing`]) reuse the same entry points at reduced scale.
+//! table/figure; `benches/micro.rs` times the hot data structures with
+//! the [`timing`] helper.
 //!
 //! All multi-point work routes through the [`sweep`] engine: a bounded
 //! worker pool with deterministic result merging and an optional
@@ -52,28 +52,6 @@ pub fn run_traced(
 pub fn run_host(app_name: &str, cfg: SystemConfig, scale: Scale) -> RunResult {
     let app = build_app(app_name, &cfg.geometry, scale, cfg.seed);
     HostOnly::new(cfg, HostOnlyConfig::paper(), app).run()
-}
-
-/// Runs one column with the event-loop phase profiler armed, so
-/// `RunResult::profile` comes back populated (`repro bench --profile`).
-/// Profiled runs bypass the sweep cache — the point is the wall-clock
-/// attribution, not the result; the result bytes are identical to an
-/// unprofiled run.
-pub fn run_profiled(app_name: &str, column: Column, cfg: SystemConfig, scale: Scale) -> RunResult {
-    match column {
-        Column::Ndp(design) => {
-            let app = build_app(app_name, &cfg.geometry, scale, cfg.seed);
-            let mut sys = System::new(cfg, design, app);
-            sys.set_profile();
-            sys.run()
-        }
-        Column::Host => {
-            let app = build_app(app_name, &cfg.geometry, scale, cfg.seed);
-            let mut host = HostOnly::new(cfg, HostOnlyConfig::paper(), app);
-            host.set_profile();
-            host.run()
-        }
-    }
 }
 
 /// A labelled design column: either an NDP design point or the host.

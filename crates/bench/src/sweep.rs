@@ -7,15 +7,15 @@
 //! and deterministic given its config seed. The engine exploits exactly
 //! that independence and nothing more:
 //!
-//! * **Bounded parallelism.** `--jobs N` workers pull point indices
-//!   from one shared queue (work stealing over a `Mutex<VecDeque>`;
-//!   whichever worker finishes first takes the next point), instead of
-//!   the former one-thread-per-cell free-for-all that oversubscribed
-//!   the machine on large figures.
-//! * **Deterministic merge.** Results are written into a slot vector by
-//!   point index, so callers observe the same ordering regardless of
-//!   worker count or scheduling. `--jobs 1` and `--jobs 8` produce
-//!   byte-identical harness output.
+//! * **Bounded parallelism.** One resident pool of `--jobs N` workers,
+//!   started on first use, pulls points from one shared FIFO queue
+//!   (whichever worker finishes first takes the next point). Batch
+//!   sweeps ([`Sweeper::run`]) and single submissions
+//!   ([`Sweeper::submit`], the service path) share it.
+//! * **Deterministic merge.** Every point has its own ticket, and a
+//!   batch waits on its tickets in input order, so callers observe the
+//!   same ordering regardless of worker count or scheduling. `--jobs 1`
+//!   and `--jobs 8` produce byte-identical harness output.
 //! * **Result cache.** With a cache directory configured, each point's
 //!   [`cache::point_key`] is probed before simulating; hits skip the
 //!   simulation entirely and misses are stored after it. A warm rerun
@@ -24,9 +24,10 @@
 //!   and per-worker progress all land in a [`SharedMetrics`] table the
 //!   harness can snapshot and dump (`sweep/points_total`,
 //!   `sweep/cache_hits`, `sweep/cache_misses`, `sweep/simulated`,
-//!   `sweep/worker-N/points`).
+//!   `sweep/pool-worker-N/points`).
 
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
@@ -80,13 +81,17 @@ impl SweepPoint {
     }
 }
 
+/// What a pool worker hands back: the result, or the payload of the
+/// simulation's panic.
+type Outcome = thread::Result<RunResult>;
+
 /// A claim on the result of one point handed to [`Sweeper::submit`].
 ///
 /// Dropping the ticket abandons the result; the simulation still runs
 /// to completion (and still populates the cache).
 #[derive(Debug)]
 pub struct PointTicket {
-    rx: mpsc::Receiver<RunResult>,
+    rx: mpsc::Receiver<Outcome>,
 }
 
 impl PointTicket {
@@ -94,18 +99,28 @@ impl PointTicket {
     ///
     /// # Panics
     ///
-    /// Panics if the pool worker died (a simulation panicked) before
-    /// delivering the result.
+    /// Resumes the simulation's own panic if it panicked (the pool
+    /// worker survives it).
     pub fn wait(self) -> RunResult {
-        self.rx
+        let outcome = self
+            .rx
             .recv()
-            .expect("resident pool worker died before delivering its result")
+            .expect("resident pool worker exited before delivering its result");
+        unwrap_outcome(outcome)
     }
 
     /// Non-blocking probe: the result if it is already available.
+    ///
+    /// # Panics
+    ///
+    /// As [`wait`](Self::wait), once the simulation has panicked.
     pub fn try_wait(&self) -> Option<RunResult> {
-        self.rx.try_recv().ok()
+        self.rx.try_recv().ok().map(unwrap_outcome)
     }
+}
+
+fn unwrap_outcome(outcome: Outcome) -> RunResult {
+    outcome.unwrap_or_else(|payload| panic::resume_unwind(payload))
 }
 
 /// Shared state of the resident pool, plus the condvar workers park
@@ -118,7 +133,7 @@ struct ResidentPool {
 
 #[derive(Debug, Default)]
 struct PoolState {
-    queue: VecDeque<(SweepPoint, mpsc::Sender<RunResult>)>,
+    queue: VecDeque<(SweepPoint, mpsc::Sender<Outcome>)>,
     /// Set when the owning [`Sweeper`] drops; a worker exits once the
     /// pool is closed and the queue is empty.
     closed: bool,
@@ -196,8 +211,9 @@ impl Sweeper {
     /// Runs all points and returns their results in input order.
     ///
     /// Cache probing happens serially up front (it is pure file I/O);
-    /// only the misses go to the worker pool. The output is a pure
-    /// function of `points` — worker count and scheduling never show.
+    /// only the misses go to the resident pool, in input order. The
+    /// output is a pure function of `points` — worker count and
+    /// scheduling never show.
     ///
     /// # Panics
     ///
@@ -207,72 +223,34 @@ impl Sweeper {
         let total_id = m.register("sweep/points_total");
         let hits_id = m.register("sweep/cache_hits");
         let miss_id = m.register("sweep/cache_misses");
-        let sim_id = m.register("sweep/simulated");
+        // Registered even when every point hits, so a warm sweep reports
+        // `0 simulated` rather than no counter at all.
+        m.register("sweep/simulated");
         m.add(total_id, points.len() as u64);
 
-        let mut slots: Vec<Option<RunResult>> = (0..points.len()).map(|_| None).collect();
-        let mut pending: VecDeque<(usize, SweepPoint)> = VecDeque::new();
-        for (i, mut p) in points.into_iter().enumerate() {
+        let mut slots: Vec<Result<RunResult, PointTicket>> = Vec::with_capacity(points.len());
+        for mut p in points {
             if let Some(level) = self.audit {
                 p.cfg.audit = level;
             }
             match self.cache.as_ref().and_then(|c| c.load(p.key())) {
                 Some(hit) => {
                     m.inc(hits_id);
-                    slots[i] = Some(hit);
+                    slots.push(Ok(hit));
                 }
                 None => {
                     m.inc(miss_id);
-                    pending.push_back((i, p));
+                    slots.push(Err(self.enqueue(p)));
                 }
             }
         }
-
-        let workers = self.jobs.min(pending.len());
-        if workers > 0 {
-            // Register worker gauges serially so metric column order
-            // does not depend on thread scheduling.
-            let worker_ids: Vec<_> = (0..workers)
-                .map(|w| m.register(&format!("sweep/worker-{w}/points")))
-                .collect();
-            let queue = Mutex::new(pending);
-            let (tx, rx) = mpsc::channel::<(usize, RunResult)>();
-            thread::scope(|s| {
-                for &worker_id in &worker_ids {
-                    let tx = tx.clone();
-                    let queue = &queue;
-                    let metrics = m.clone();
-                    let cache = self.cache.as_ref();
-                    s.spawn(move || loop {
-                        let job = queue.lock().unwrap_or_else(|e| e.into_inner()).pop_front();
-                        let Some((idx, point)) = job else { break };
-                        let key = point.key();
-                        let result = point.simulate();
-                        if let Some(c) = cache {
-                            // Best-effort: an unwritable cache directory
-                            // slows reruns down, it does not fail them.
-                            let _ = c.store(key, &result);
-                        }
-                        metrics.inc(sim_id);
-                        metrics.inc(worker_id);
-                        if tx.send((idx, result)).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(tx);
-                for (idx, result) in rx {
-                    slots[idx] = Some(result);
-                }
-            });
-        }
-
+        let results = slots
+            .into_iter()
+            .map(|slot| slot.unwrap_or_else(PointTicket::wait))
+            .collect();
         let seq = self.sweeps_run.fetch_add(1, Ordering::Relaxed);
         m.snapshot(format!("sweep-{seq}"), SimTime::ZERO);
-        slots
-            .into_iter()
-            .map(|s| s.expect("sweep worker died before delivering its result"))
-            .collect()
+        results
     }
 
     /// Probes the result cache for `point` without scheduling anything.
@@ -299,18 +277,17 @@ impl Sweeper {
         Some(hit)
     }
 
-    /// Schedules one point on the engine's *resident* pool and returns
-    /// a ticket for its result.
+    /// Schedules one point on the engine's resident pool and returns a
+    /// ticket for its result.
     ///
-    /// Unlike [`run`](Self::run) — which spawns scoped workers for the
-    /// duration of one batch — the resident pool's `jobs` workers are
-    /// created on first submit and kept parked on a condvar between
-    /// jobs until the `Sweeper` drops. That is the shape a long-running
-    /// server needs: callers submit from many request threads, results
-    /// fan back through per-ticket channels, and the pool never has to
-    /// be re-warmed. The cache (if configured) is *not* probed here —
-    /// callers that want the fast path probe [`cached`](Self::cached)
-    /// first — but completed simulations are stored to it.
+    /// The pool's `jobs` workers are created on first use and kept
+    /// parked on a condvar between jobs until the `Sweeper` drops. That
+    /// is the shape a long-running server needs: callers submit from
+    /// many request threads, results fan back through per-ticket
+    /// channels, and the pool never has to be re-warmed. The cache (if
+    /// configured) is *not* probed here — callers that want the fast
+    /// path probe [`cached`](Self::cached) first — but completed
+    /// simulations are stored to it.
     pub fn submit(&self, mut point: SweepPoint) -> PointTicket {
         if let Some(level) = self.audit {
             point.cfg.audit = level;
@@ -318,6 +295,12 @@ impl Sweeper {
         let m = &self.metrics;
         m.inc(m.register("sweep/points_total"));
         m.inc(m.register("sweep/cache_misses"));
+        self.enqueue(point)
+    }
+
+    /// Queues `point` (audit override already applied) on the resident
+    /// pool, starting the pool on first use.
+    fn enqueue(&self, point: SweepPoint) -> PointTicket {
         let pool = &self
             .resident
             .get_or_init(|| self.spawn_resident_pool())
@@ -361,15 +344,19 @@ impl Sweeper {
                         }
                     };
                     let key = point.key();
-                    let result = point.simulate();
-                    if let Some(c) = &cache {
-                        // Best-effort, as in `run`: an unwritable cache
-                        // slows reruns down, it does not fail them.
-                        let _ = c.store(key, &result);
+                    // A panicking simulation fails its own ticket, not
+                    // the worker: the payload travels to `wait`.
+                    let outcome = panic::catch_unwind(AssertUnwindSafe(|| point.simulate()));
+                    if let Ok(result) = &outcome {
+                        if let Some(c) = &cache {
+                            // Best-effort: an unwritable cache directory
+                            // slows reruns down, it does not fail them.
+                            let _ = c.store(key, result);
+                        }
+                        metrics.inc(sim_id);
+                        metrics.inc(worker_id);
                     }
-                    metrics.inc(sim_id);
-                    metrics.inc(worker_id);
-                    let _ = tx.send(result);
+                    let _ = tx.send(outcome);
                 })
                 .expect("spawn resident pool worker");
             workers.push(handle);
@@ -416,7 +403,6 @@ impl Drop for Sweeper {
             .closed = true;
         resident.pool.ready.notify_all();
         for w in resident.workers {
-            // A worker whose simulation panicked has already exited.
             let _ = w.join();
         }
     }
@@ -449,6 +435,7 @@ mod tests {
     use super::*;
     use ndpb_core::design::DesignPoint;
     use ndpb_dram::Geometry;
+    use std::time::{Duration, Instant};
 
     fn tiny_cfg() -> SystemConfig {
         SystemConfig::with_geometry(Geometry::with_total_ranks(1))
@@ -602,6 +589,37 @@ mod tests {
             pool.upgrade().is_none(),
             "resident workers must exit when the sweeper drops"
         );
+    }
+
+    #[test]
+    fn a_panicking_point_fails_its_ticket_and_the_pool_survives() {
+        let sw = Sweeper::new(1);
+        let bad = SweepPoint::new("nope", Column::Ndp(DesignPoint::C), tiny_cfg(), Scale::Tiny);
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| sw.submit(bad).wait()))
+            .expect_err("an unknown application must panic on wait");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        assert!(msg.contains("unknown application"), "payload: {msg:?}");
+
+        // The lone worker must still be alive to run the next point.
+        let good = sw.submit(points().swap_remove(0));
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let result = loop {
+            if let Some(r) = good.try_wait() {
+                break r;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the pool lost its worker to the earlier panic"
+            );
+            thread::sleep(Duration::from_millis(5));
+        };
+        assert_eq!(result.app, "ll");
+        let report = sw.metrics().live_report();
+        assert_eq!(report.final_value("sweep/simulated"), Some(1));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Minimal wall-clock bench harness built on `std::time::Instant`.
 //!
 //! Replaces the former Criterion dependency so the workspace builds
-//! fully offline. The benches under `benches/` are `harness = false`
-//! binaries that call [`bench`] directly; output is one line per case,
+//! fully offline. `benches/micro.rs` is a `harness = false` binary
+//! that calls [`bench`] directly; output is one line per case,
 //! stable enough to eyeball across commits (this is a smoke-level
 //! timer, not a statistics engine).
 
@@ -24,33 +24,9 @@ pub fn bench<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) -> Duration {
     per
 }
 
-/// Median of a sample (average of the middle two for even sizes).
-/// Returns `0.0` for an empty slice.
-pub fn median(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut s = samples.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in timing samples"));
-    let mid = s.len() / 2;
-    if s.len() % 2 == 1 {
-        s[mid]
-    } else {
-        (s[mid - 1] + s[mid]) / 2.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn median_odd_even_empty() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
-        assert_eq!(median(&[]), 0.0);
-        assert_eq!(median(&[7.5]), 7.5);
-    }
 
     #[test]
     fn bench_runs_and_returns_mean() {

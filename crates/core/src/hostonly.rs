@@ -8,6 +8,7 @@
 //! that every access contends for.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::time::Instant;
 
 use ndpb_dram::{Bus, EnergyBreakdown};
 use ndpb_sim::stats::BusyTime;
@@ -219,17 +220,29 @@ impl HostOnly {
         }
         self.dispatch(SimTime::ZERO);
         // Batched same-tick dispatch (DESIGN.md §3c): one head scan per
-        // run of equal-time completions instead of one per pop.
+        // run of equal-time completions instead of one per pop. An armed
+        // profile brackets each pop and each batch with clock reads.
+        let mut prof = self.profile.take();
         let mut batch: Vec<Done> = Vec::with_capacity(32);
-        if self.profile.is_some() {
-            self.run_profiled(&mut batch);
-        } else {
-            while let Some(now) = self.q.pop_run(&mut batch) {
-                for done in batch.drain(..) {
-                    self.complete(now, done);
-                }
+        loop {
+            let t0 = prof.is_some().then(Instant::now);
+            let now = self.q.pop_run(&mut batch);
+            if let (Some(p), Some(t0)) = (&mut prof, t0) {
+                p.queue_ns += t0.elapsed().as_nanos() as u64;
+            }
+            let Some(now) = now else { break };
+            if let Some(p) = &mut prof {
+                p.note_batch(batch.len());
+            }
+            let t1 = prof.is_some().then(Instant::now);
+            for done in batch.drain(..) {
+                self.complete(now, done);
+            }
+            if let (Some(p), Some(t1)) = (&mut prof, t1) {
+                p.dispatch_ns += t1.elapsed().as_nanos() as u64;
             }
         }
+        self.profile = prof;
         assert!(
             self.epochs.all_done(),
             "host-only run drained events with tasks outstanding"
@@ -237,26 +250,8 @@ impl HostOnly {
         self.finalize()
     }
 
-    /// The batched loop with phase timing (two clock reads per run).
-    fn run_profiled(&mut self, batch: &mut Vec<Done>) {
-        let mut prof = ProfileStats::default();
-        loop {
-            let t0 = std::time::Instant::now();
-            let now = self.q.pop_run(batch);
-            prof.queue_ns += t0.elapsed().as_nanos() as u64;
-            let Some(now) = now else { break };
-            prof.note_batch(batch.len());
-            let t1 = std::time::Instant::now();
-            for done in batch.drain(..) {
-                self.complete(now, done);
-            }
-            prof.dispatch_ns += t1.elapsed().as_nanos() as u64;
-        }
-        self.profile = Some(prof);
-    }
-
     fn finalize(mut self) -> RunResult {
-        let finalize_start = self.profile.is_some().then(std::time::Instant::now);
+        let finalize_start = self.profile.is_some().then(Instant::now);
         let makespan = self
             .worker_last
             .iter()

@@ -60,21 +60,21 @@ pub struct RunResult {
     /// `ndpb_trace::write_chrome_trace`.
     pub trace: Vec<TraceRecord>,
     /// Event-loop phase profile; `None` unless the run was started with
-    /// profiling enabled (`System::set_profile` / `HostOnly::set_profile`,
-    /// surfaced as `repro bench --profile`). *Not* serialized by
-    /// [`to_json`](Self::to_json): wall-clock attribution must stay
-    /// invisible to goldens and the result cache.
+    /// profiling enabled (`System::set_profile` / `HostOnly::set_profile`;
+    /// the repository benchmark in `perfbench/` reads it). *Not*
+    /// serialized by [`to_json`](Self::to_json): wall-clock attribution
+    /// must stay invisible to goldens and the result cache.
     pub profile: Option<ProfileStats>,
 }
 
 /// How a profiled run's wall-clock time splits across event-loop
-/// phases, plus the same-tick batch-length histogram that makes the
+/// phases, plus the mean same-tick batch length that makes the
 /// batched-dispatch win attributable (DESIGN.md §3c).
 ///
 /// Timings come from `Instant` reads bracketing each phase of the
-/// serial loop, so enabling the profile adds two clock reads per
-/// *batch* (not per event) — cheap, but still a measurement: profiled
-/// passes are kept out of bench timing medians.
+/// run loop, so enabling the profile adds two clock reads per *batch*
+/// (not per event) — cheap, but still a measurement, so a profiled run
+/// should not double as a timed one.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ProfileStats {
     /// Nanoseconds spent popping runs out of the event queue (head
@@ -90,32 +90,14 @@ pub struct ProfileStats {
     pub batches: u64,
     /// Events dispatched (sum of batch lengths).
     pub events: u64,
-    /// Batch-length histogram: runs of length 1, 2, 3–4, 5–8, 9–16,
-    /// 17–32, 33–64, 65+.
-    pub run_len_hist: [u64; 8],
 }
 
 impl ProfileStats {
-    /// Upper edge labels for [`run_len_hist`](Self::run_len_hist).
-    pub const RUN_LEN_LABELS: [&'static str; 8] =
-        ["1", "2", "3-4", "5-8", "9-16", "17-32", "33-64", "65+"];
-
     /// Records one same-tick run of `n` events.
     #[inline]
     pub fn note_batch(&mut self, n: usize) {
         self.batches += 1;
         self.events += n as u64;
-        let bucket = match n {
-            0..=1 => 0,
-            2 => 1,
-            3..=4 => 2,
-            5..=8 => 3,
-            9..=16 => 4,
-            17..=32 => 5,
-            33..=64 => 6,
-            _ => 7,
-        };
-        self.run_len_hist[bucket] += 1;
     }
 
     /// Mean events per pop (`1.0` means batching never fused anything).
@@ -127,36 +109,13 @@ impl ProfileStats {
     }
 
     /// Folds another profile into this one (for aggregating across
-    /// runs of a bench pass).
+    /// runs).
     pub fn merge(&mut self, other: &ProfileStats) {
         self.queue_ns += other.queue_ns;
         self.dispatch_ns += other.dispatch_ns;
         self.finalize_ns += other.finalize_ns;
         self.batches += other.batches;
         self.events += other.events;
-        for (a, b) in self.run_len_hist.iter_mut().zip(other.run_len_hist) {
-            *a += b;
-        }
-    }
-
-    /// The phase split as a JSON object (embedded in BENCH_repro.json's
-    /// `"profile"` section — never in golden result JSON).
-    pub fn to_json(&self) -> String {
-        let hist: Vec<String> = self.run_len_hist.iter().map(u64::to_string).collect();
-        format!(
-            concat!(
-                "{{\"queue_ns\":{},\"dispatch_ns\":{},\"finalize_ns\":{},",
-                "\"batches\":{},\"events\":{},\"events_per_batch\":{:.3},",
-                "\"run_len_hist\":[{}]}}"
-            ),
-            self.queue_ns,
-            self.dispatch_ns,
-            self.finalize_ns,
-            self.batches,
-            self.events,
-            self.events_per_batch(),
-            hist.join(","),
-        )
     }
 }
 
@@ -373,27 +332,25 @@ mod tests {
     }
 
     #[test]
-    fn profile_histogram_buckets_and_merge() {
+    fn profile_counts_batches_and_merges() {
         let mut p = ProfileStats::default();
-        for n in [1usize, 2, 4, 8, 16, 32, 64, 65, 4096] {
+        for n in [1usize, 2, 4, 65, 4096] {
             p.note_batch(n);
         }
-        assert_eq!(p.run_len_hist, [1, 1, 1, 1, 1, 1, 1, 2]);
-        assert_eq!(p.batches, 9);
-        assert_eq!(p.events, 1 + 2 + 4 + 8 + 16 + 32 + 64 + 65 + 4096);
+        assert_eq!(p.batches, 5);
+        assert_eq!(p.events, 1 + 2 + 4 + 65 + 4096);
+        assert_eq!(p.events_per_batch(), p.events as f64 / 5.0);
         let mut q = ProfileStats {
             queue_ns: 5,
             dispatch_ns: 7,
             ..ProfileStats::default()
         };
         q.merge(&p);
-        assert_eq!(q.batches, 9);
-        assert_eq!(q.queue_ns, 5);
-        let j = q.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(j.contains("\"run_len_hist\":[1,1,1,1,1,1,1,2]"));
-        assert!(j.contains("\"queue_ns\":5"));
+        q.merge(&p);
+        assert_eq!(q.batches, 10);
+        assert_eq!(q.events, 2 * p.events);
+        assert_eq!((q.queue_ns, q.dispatch_ns), (5, 7));
+        assert_eq!(ProfileStats::default().events_per_batch(), 0.0);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! bridge gather/scatter rounds with dynamic triggering (Section V),
 //! and hierarchical data-transfer-aware load balancing (Section VI).
 
+use std::time::Instant;
+
 use crate::fasthash::FastMap;
 
 use ndpb_dram::{AddressMap, BlockAddr, Bus, EnergyBreakdown, UnitId};
@@ -472,8 +474,8 @@ impl System {
 
     /// Arms the event-loop phase profiler: [`run`](Self::run) will
     /// attribute wall time to queue ops vs. handler dispatch vs.
-    /// finalization and record the same-tick batch-length histogram,
-    /// surfacing it as [`RunResult::profile`]. Profiled runs produce
+    /// finalization and count same-tick batches, surfacing both as
+    /// [`RunResult::profile`]. Profiled runs produce
     /// byte-identical results; the profile itself never reaches golden
     /// JSON or the result cache.
     pub fn set_profile(&mut self) {
@@ -518,114 +520,19 @@ impl System {
         }
         self.q.schedule(self.cfg.i_state(), Ev::HostState);
 
-        if std::env::var_os("NDPB_DEBUG").is_none() {
-            if self.profile.is_some() {
-                self.run_serial_profiled();
-            } else {
-                // Batched same-tick dispatch: one head scan + bitmap
-                // walk + overflow compare per *run* instead of per
-                // event, with pop order byte-identical to single pops
-                // by the `pop_run` contract (DESIGN.md §3c).
-                let mut batch: Vec<Ev> = Vec::with_capacity(64);
-                while self.q.pop_run(&mut batch).is_some() {
-                    assert!(
-                        self.q.popped() < MAX_EVENTS,
-                        "event watchdog tripped: likely livelock in {} on {}",
-                        self.design,
-                        self.app.name()
-                    );
-                    for ev in batch.drain(..) {
-                        self.dispatch(ev);
-                    }
-                }
-            }
-            assert!(
-                self.epochs.all_done(),
-                "simulation drained its event queue with {} tasks outstanding ({} on {})",
-                self.epochs.total_outstanding(),
-                self.design,
-                self.app.name()
-            );
-            return self.finalize();
-        }
-
-        // NDPB_DEBUG: pop-at-a-time loop so the periodic diagnostic
-        // dump observes every event boundary.
-        while let Some((_, ev)) = self.q.pop() {
-            assert!(
-                self.q.popped() < MAX_EVENTS,
-                "event watchdog tripped: likely livelock in {} on {}",
-                self.design,
-                self.app.name()
-            );
-            if self.q.popped().is_multiple_of(1_000_000) {
-                let queued: usize = self.units.iter().map(|u| u.queued_tasks()).sum();
-                let future: usize = self.units.iter().map(|u| u.future_tasks()).sum();
-                let mailed: usize = self.units.iter().map(|u| u.mailbox.len()).sum();
-                let pend: usize = self.units.iter().map(|u| u.pending_out.len()).sum();
-                let scat: u64 = self
-                    .bridges
-                    .iter()
-                    .map(|b| (0..b.children()).map(|i| b.scatter_pending(i)).sum::<u64>())
-                    .sum();
-                let bkup: u64 = self.bridges.iter().map(|b| b.backup_pending()).sum();
-                let up: usize = self.bridges.iter().map(|b| b.up_mailbox.len()).sum();
-                let host: u64 = (0..self.bridges.len())
-                    .map(|r| self.host.scatter_pending(r))
-                    .sum();
-                for (ri, b) in self.bridges.iter().enumerate() {
-                    let sc: u64 = (0..b.children()).map(|i| b.scatter_pending(i)).sum();
-                    if sc > 0 || b.backup_pending() > 0 {
-                        eprintln!(
-                            "[r{ri}: scatters={} sc={}B bk={}B sched={} pauses={}]",
-                            b.stats.scatters.get(),
-                            sc,
-                            b.backup_pending(),
-                            b.round_scheduled,
-                            b.stats.gather_pauses.get(),
-                        );
-                    }
-                }
-                eprintln!(
-                    "[ndpb {} {}] {}M events, t={}, outstanding={}, epoch={:?} | queued={} future={} mailbox={} pendout={} scatterB={} backupB={} up={} hostB={}",
-                    self.design,
-                    self.app.name(),
-                    self.q.popped() / 1_000_000,
-                    self.q.now(),
-                    self.epochs.total_outstanding(),
-                    self.epochs.current(),
-                    queued,
-                    future,
-                    mailed,
-                    pend,
-                    scat,
-                    bkup,
-                    up,
-                    host,
-                );
-            }
-            self.dispatch(ev);
-        }
-        assert!(
-            self.epochs.all_done(),
-            "simulation drained its event queue with {} tasks outstanding ({} on {})",
-            self.epochs.total_outstanding(),
-            self.design,
-            self.app.name()
-        );
-        self.finalize()
-    }
-
-    /// The batched serial loop with phase timing: `Instant` reads
-    /// bracket each queue pop and each batch dispatch, so the overhead
-    /// is two clock reads per *run*, not per event.
-    fn run_serial_profiled(&mut self) {
-        let mut prof = ProfileStats::default();
+        // Batched same-tick dispatch: one head scan + bitmap walk +
+        // overflow compare per *run* instead of per event, with pop
+        // order byte-identical to single pops by the `pop_run` contract
+        // (DESIGN.md §3c). An armed profile brackets each pop and each
+        // batch with clock reads; unarmed, the reads are skipped.
+        let mut prof = self.profile.take();
         let mut batch: Vec<Ev> = Vec::with_capacity(64);
         loop {
-            let t0 = std::time::Instant::now();
+            let t0 = prof.is_some().then(Instant::now);
             let popped = self.q.pop_run(&mut batch).is_some();
-            prof.queue_ns += t0.elapsed().as_nanos() as u64;
+            if let (Some(p), Some(t0)) = (&mut prof, t0) {
+                p.queue_ns += t0.elapsed().as_nanos() as u64;
+            }
             if !popped {
                 break;
             }
@@ -635,14 +542,26 @@ impl System {
                 self.design,
                 self.app.name()
             );
-            prof.note_batch(batch.len());
-            let t1 = std::time::Instant::now();
+            if let Some(p) = &mut prof {
+                p.note_batch(batch.len());
+            }
+            let t1 = prof.is_some().then(Instant::now);
             for ev in batch.drain(..) {
                 self.dispatch(ev);
             }
-            prof.dispatch_ns += t1.elapsed().as_nanos() as u64;
+            if let (Some(p), Some(t1)) = (&mut prof, t1) {
+                p.dispatch_ns += t1.elapsed().as_nanos() as u64;
+            }
         }
-        self.profile = Some(prof);
+        self.profile = prof;
+        assert!(
+            self.epochs.all_done(),
+            "simulation drained its event queue with {} tasks outstanding ({} on {})",
+            self.epochs.total_outstanding(),
+            self.design,
+            self.app.name()
+        );
+        self.finalize()
     }
 
     /// Debug aid: prints lifecycle events of the block named by the
@@ -992,26 +911,6 @@ impl System {
                 if !self.units[u].holds_block(block, &self.map) {
                     // Stale routing: forward to the current holder.
                     self.units[u].stats.tasks_rerouted.inc();
-                    if self.units[u]
-                        .stats
-                        .tasks_rerouted
-                        .get()
-                        .is_multiple_of(10_000)
-                        && std::env::var_os("NDPB_DEBUG").is_some()
-                    {
-                        let home = self.map.block_home(block);
-                        let hr = self.cfg.geometry.rank_of(home).index();
-                        eprintln!(
-                            "[reroute] at u{} block={:?} home={} lent={} bridge_entry={:?} host_entry={:?} borrowed_here={}",
-                            u,
-                            block,
-                            home,
-                            self.units[home.index()].is_lent.is_lent(block),
-                            self.bridges[hr].data_borrowed.peek(&block),
-                            self.host.data_borrowed.peek(&block),
-                            self.units[u].is_borrowed(block),
-                        );
-                    }
                     self.emit_message(u, Message::Task(task, None), now);
                     return;
                 }
@@ -2685,7 +2584,7 @@ impl System {
     }
 
     fn finalize(mut self) -> RunResult {
-        let finalize_start = self.profile.is_some().then(std::time::Instant::now);
+        let finalize_start = self.profile.is_some().then(Instant::now);
         let mut finish = FinishTimes::default();
         let mut busy = FinishTimes::default();
         let mut per_unit_busy = Vec::with_capacity(self.units.len());

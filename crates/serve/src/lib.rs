@@ -99,8 +99,8 @@ pub struct State {
     in_flight: AtomicU64,
     // Last-completed-run throughput snapshot (latest writer wins):
     // simulated event count and submit→completion wall time, surfaced
-    // as events/sec by `/metrics` so a resident server exposes the same
-    // headline number `repro bench` prints. Zeros until a point
+    // as events/sec by `/metrics` so a resident server exposes its own
+    // simulator throughput. Zeros until a point
     // completes; cache fast-path hits simulate nothing and leave it
     // untouched.
     last_events: AtomicU64,

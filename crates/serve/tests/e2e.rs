@@ -248,3 +248,23 @@ fn shutdown_drains_in_flight_work_into_the_cache() {
     assert_eq!(entries, 1, "drained result landed in the cache");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn deeply_nested_body_is_rejected_and_the_server_keeps_serving() {
+    let (addr, _state, handle) = start(ServerConfig {
+        cache_dir: None,
+        jobs: 1,
+        ..ServerConfig::default()
+    });
+    // 100 KB of open brackets: deep enough to overflow an HTTP
+    // worker's stack, and abort the process, if nesting were unbounded.
+    let body = format!("{{\"app\":{}", "[".repeat(100_000));
+    let (status, reply) = http(addr, "POST", "/run", &body);
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("nesting too deep"), "{reply}");
+    let (status, body) = http(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    let h = Json::parse(&body).expect("healthz JSON");
+    assert_eq!(h.get("ok").and_then(|v| v.as_bool()), Some(true));
+    shutdown_and_join(addr, handle);
+}

@@ -142,19 +142,34 @@ fn cached_results_replay_byte_identically() {
 
 #[test]
 fn profiled_runs_are_byte_identical_to_the_sweep() {
-    // `--profile` arms the phase profiler around the batched dispatch
+    // `set_profile` arms the phase profiler around the batched dispatch
     // loop. The measurement must be invisible: result
     // bytes (summary JSON and per-epoch metrics) match the unprofiled
     // sweep output exactly, while the attached stats account for every
     // popped event.
-    use ndpbridge::bench::run_profiled;
+    use ndpbridge::core::hostonly::{HostOnly, HostOnlyConfig};
+    use ndpbridge::core::System;
+    use ndpbridge::workloads::build_app;
     for col in [
         Column::Ndp(DesignPoint::B),
         Column::Ndp(DesignPoint::O),
         Column::Host,
     ] {
         let plain = Sweeper::new(1).run(vec![SweepPoint::new("tree", col, cfg(), Scale::Tiny)]);
-        let prof = run_profiled("tree", col, cfg(), Scale::Tiny);
+        let c = cfg();
+        let app = build_app("tree", &c.geometry, Scale::Tiny, c.seed);
+        let prof = match col {
+            Column::Ndp(d) => {
+                let mut sys = System::new(c, d, app);
+                sys.set_profile();
+                sys.run()
+            }
+            Column::Host => {
+                let mut host = HostOnly::new(c, HostOnlyConfig::paper(), app);
+                host.set_profile();
+                host.run()
+            }
+        };
         assert_eq!(
             prof.to_json(),
             plain[0].to_json(),
@@ -170,7 +185,6 @@ fn profiled_runs_are_byte_identical_to_the_sweep() {
         let p = prof.profile.expect("profiled run must attach stats");
         assert_eq!(p.events, prof.events, "profile lost events");
         assert!(p.batches > 0 && p.batches <= p.events);
-        assert_eq!(p.run_len_hist.iter().sum::<u64>(), p.batches);
         assert!(prof.profile.is_some() && plain[0].profile.is_none());
     }
 }

@@ -189,7 +189,7 @@ fn designs_match_golden_references() {
 }
 
 #[test]
-fn small_tier_designs_match_golden_references() {
+fn small_scale_designs_match_golden_references() {
     // Small runs are ~12x Tiny; keep them out of the debug tier-1 lane
     // (ci.sh covers them in release). UPDATE_GOLDEN regeneration also
     // happens in release for the same reason.
