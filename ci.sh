@@ -92,9 +92,10 @@ echo "== perfbench smoke: the repository benchmark at Tiny =="
 cargo test --release -q --manifest-path perfbench/Cargo.toml
 
 echo "== repro serve smoke: run / dedup-cache / metrics / graceful shutdown =="
-# Drives the resident service over its line protocol (same port as
-# HTTP, one command per connection) through bash's /dev/tcp — no curl
-# or netcat needed. The sequence asserts the service pipeline
+# Drives the resident service over HTTP/1.0 through bash's /dev/tcp —
+# no curl or netcat needed. The server closes an HTTP/1.0 connection
+# after its reply, so everything after the blank line that ends the
+# head is the body. The sequence asserts the service pipeline
 # end-to-end: submit a Tiny point, poll the job to completion, resubmit
 # the identical request (must be a cache hit, not a second simulation),
 # check /metrics reflects that, then shut down gracefully and require a
@@ -110,27 +111,29 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -n "$SERVE_PORT" ] || { echo "serve never reported its port"; cat "$SMOKE_DIR/serve.log"; exit 1; }
-serve_cmd() {  # one line-protocol command, prints the one-line JSON reply
+serve_call() {  # METHOD PATH [BODY]: one HTTP/1.0 request, prints the reply body
+    local body=${3:-}
     exec 3<>"/dev/tcp/127.0.0.1/$SERVE_PORT"
-    printf '%s\n' "$1" >&3
-    IFS= read -r REPLY <&3
+    printf '%s %s HTTP/1.0\r\nContent-Length: %s\r\n\r\n%s' "$1" "$2" "${#body}" "$body" >&3
+    sed '1,/^\r$/d' <&3
     exec 3<&- 3>&-
-    printf '%s\n' "$REPLY"
 }
-serve_cmd 'run {"app":"ll","design":"C","scale":"tiny"}' | grep -q '"id":1'
+RUN_BODY='{"app":"ll","design":"C","scale":"tiny"}'
+serve_call POST /run "$RUN_BODY" | grep -q '"id":1'
 for _ in $(seq 1 600); do
-    JOB=$(serve_cmd 'job 1')
+    JOB=$(serve_call GET /job/1)
     case "$JOB" in *'"status":"done"'*) break ;; esac
     sleep 0.2
 done
 case "$JOB" in *'"status":"done"'*) ;; *) echo "job 1 never finished: $JOB"; exit 1 ;; esac
-serve_cmd 'run {"app":"ll","design":"C","scale":"tiny"}' | grep -q '"status":"done"'
-serve_cmd 'metrics' | grep -q '"cache_hits":1'
+serve_call POST /run "$RUN_BODY" | grep -q '"status":"done"'
+METRICS=$(serve_call GET /metrics)
+grep -q '"cache_hits":1' <<< "$METRICS"
 # The completed run must surface its throughput snapshot (events and
 # events/sec are machine-dependent; presence and non-zero are gated).
-serve_cmd 'metrics' | grep -q '"completed":1'
-serve_cmd 'metrics' | grep -qv '"last_run":{"events":0'
-serve_cmd 'shutdown' | grep -q '"draining":true'
+grep -q '"completed":1' <<< "$METRICS"
+grep -qv '"last_run":{"events":0' <<< "$METRICS"
+serve_call POST /shutdown | grep -q '"draining":true'
 wait "$SRV"   # graceful shutdown must exit 0 (set -e gates this)
 grep -q "drained, exiting" "$SMOKE_DIR/serve.log"
 

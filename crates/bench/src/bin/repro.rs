@@ -425,10 +425,9 @@ fn fig12(o: &Opts) {
         .map(|&d| Column::Ndp(d))
         .collect();
     println!(
-        "{:<8}{:>10}{:>10}{:>10}{:>10}   (makespan us; speedup vs C-at-64-units)",
+        "{:<8}{:>10}{:>10}{:>10}{:>10}   (makespan us)",
         "units", "C", "B", "W", "O"
     );
-    let mut base: Option<f64> = None;
     for ranks in [1u32, 2, 4, 8, 16] {
         let geom = Geometry::with_total_ranks(ranks);
         let units = geom.total_units();
@@ -438,17 +437,12 @@ fn fig12(o: &Opts) {
             || SystemConfig::with_geometry(Geometry::with_total_ranks(ranks)),
             o.scale,
         );
-        let c0 = m[0][0].makespan.as_ns() / 1000.0;
-        if base.is_none() {
-            base = Some(c0);
-        }
         print!("{units:<8}");
         for cell in &m[0][..4] {
             print!("{:>10.1}", cell.makespan.as_ns() / 1000.0);
         }
         println!();
     }
-    let _ = base;
 }
 
 fn fig13(o: &Opts) {
@@ -529,7 +523,7 @@ fn fig14b(o: &Opts) {
     }
     println!(
         "{:<10}{:>14}{:>18}{:>16}",
-        "trigger", "perf vs dyn", "comm energy", "wasted gathers"
+        "trigger", "perf vs dyn", "comm energy", "comm KB"
     );
     let dyn_m = &results[0].1;
     for (label, m) in &results {
@@ -539,13 +533,13 @@ fn fig14b(o: &Opts) {
         let energy: Vec<f64> = (0..apps.len())
             .map(|i| m[i][0].energy.dram_comm_pj / dyn_m[i][0].energy.dram_comm_pj.max(1.0))
             .collect();
-        let wasted: u64 = (0..apps.len()).map(|i| m[i][0].comm_dram_bytes).sum();
+        let comm_bytes: u64 = (0..apps.len()).map(|i| m[i][0].comm_dram_bytes).sum();
         println!(
             "{:<10}{:>13.2}x{:>17.1}%{:>16}",
             label,
             geomean(&perf),
             geomean(&energy) * 100.0,
-            wasted / 1024,
+            comm_bytes / 1024,
         );
     }
 }

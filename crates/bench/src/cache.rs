@@ -2,8 +2,9 @@
 //!
 //! Every sweep point is identified by a 64-bit FNV-1a key over
 //! everything that determines its outcome: the cache format version,
-//! the crate version, the application name, the design-column label,
-//! the workload scale, and the full [`SystemConfig::fingerprint`]
+//! the running binary's [`build_identity`], the application name, the
+//! design-column label, the workload scale, and the full
+//! [`SystemConfig::fingerprint`]
 //! (which folds in geometry, timing, energy, sketch, trigger policy,
 //! DIMM-Link mode and the master seed). Two points with the same key
 //! would run byte-identical simulations, so their `RunResult` can be
@@ -26,6 +27,8 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
+use std::time::SystemTime;
 
 use ndpb_core::config::SystemConfig;
 use ndpb_core::result::RunResult;
@@ -40,18 +43,60 @@ use crate::json::Json;
 /// and are regenerated instead of being misread.
 pub const CACHE_FORMAT: u32 = 1;
 
-/// The cache key for one sweep point.
+/// The cache key for one sweep point, under the running binary's
+/// [`build_identity`].
 pub fn point_key(app: &str, column_label: &str, scale: Scale, cfg: &SystemConfig) -> u64 {
+    key_under(build_identity(), app, column_label, scale, cfg)
+}
+
+fn key_under(build: u64, app: &str, column_label: &str, scale: Scale, cfg: &SystemConfig) -> u64 {
     let mut h = Fnv1a64::new();
     h.write_u64(CACHE_FORMAT as u64);
-    // Simulator behaviour may change between releases; never serve a
-    // previous version's results.
-    h.write_str(env!("CARGO_PKG_VERSION"));
+    h.write_u64(build);
     h.write_str(app);
     h.write_str(column_label);
     h.write_str(&format!("{scale:?}"));
     h.write_u64(cfg.fingerprint());
     h.finish()
+}
+
+/// Identity of the code that produces results: device, inode, length
+/// and modification time of the running executable, computed once per
+/// process. Any rebuild changes it, so a rebuilt simulator never reads
+/// results an older build wrote. `/proc/self/exe` names the running
+/// binary even after cargo replaces the file on disk; `current_exe` is
+/// the fallback. If neither can be read the identity is unique to this
+/// process, so nothing persisted is ever reused (fail closed).
+pub fn build_identity() -> u64 {
+    static ID: OnceLock<u64> = OnceLock::new();
+    *ID.get_or_init(|| {
+        let exe =
+            fs::metadata("/proc/self/exe").or_else(|_| fs::metadata(std::env::current_exe()?));
+        let mut h = Fnv1a64::new();
+        match exe.and_then(|m| Ok((m.modified()?, m))) {
+            Ok((mtime, m)) => {
+                let (dev, ino) = file_id(&m);
+                h.write_str(&format!("{dev} {ino} {} {mtime:?}", m.len()));
+            }
+            Err(_) => h.write_str(&format!(
+                "pid {} at {:?}",
+                std::process::id(),
+                SystemTime::now()
+            )),
+        }
+        h.finish()
+    })
+}
+
+#[cfg(unix)]
+fn file_id(m: &fs::Metadata) -> (u64, u64) {
+    use std::os::unix::fs::MetadataExt as _;
+    (m.dev(), m.ino())
+}
+
+#[cfg(not(unix))]
+fn file_id(_: &fs::Metadata) -> (u64, u64) {
+    (0, 0)
 }
 
 /// Serializes a [`RunResult`] as the cache/golden JSON document:
@@ -296,6 +341,21 @@ mod tests {
         let mut other = tiny_cfg();
         other.seed ^= 1;
         assert_ne!(base, point_key("ll", "O", Scale::Tiny, &other), "config");
+    }
+
+    #[test]
+    fn keys_separate_builds_and_hold_within_a_process() {
+        let cfg = tiny_cfg();
+        assert_ne!(
+            key_under(1, "ll", "O", Scale::Tiny, &cfg),
+            key_under(2, "ll", "O", Scale::Tiny, &cfg),
+            "a rebuilt binary must not read an older build's results"
+        );
+        assert_eq!(build_identity(), build_identity());
+        assert_eq!(
+            point_key("ll", "O", Scale::Tiny, &cfg),
+            key_under(build_identity(), "ll", "O", Scale::Tiny, &cfg)
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub mod json;
 pub mod sweep;
 pub mod timing;
 
-pub use sweep::{SweepPoint, Sweeper};
+pub use sweep::{PointTicket, SweepPoint, Sweeper};
 
 use ndpb_core::config::SystemConfig;
 use ndpb_core::design::DesignPoint;

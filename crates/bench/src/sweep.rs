@@ -26,12 +26,14 @@
 //!   `sweep/cache_hits`, `sweep/cache_misses`, `sweep/simulated`,
 //!   `sweep/pool-worker-N/points`).
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
+use std::time::Instant;
 
 use ndpb_core::audit::AuditLevel;
 use ndpb_core::config::SystemConfig;
@@ -81,47 +83,92 @@ impl SweepPoint {
     }
 }
 
-/// What a pool worker hands back: the result, or the payload of the
-/// simulation's panic.
-type Outcome = thread::Result<RunResult>;
-
-/// A claim on the result of one point handed to [`Sweeper::submit`].
+/// A claim on the result of one point handed to [`Sweeper::submit`]:
+/// a shared slot the pool worker fills once, with the result or the
+/// message of the panic that ended the simulation.
 ///
-/// Dropping the ticket abandons the result; the simulation still runs
-/// to completion (and still populates the cache).
-#[derive(Debug)]
+/// Clones observe the same slot, so any number of waiters can share
+/// one simulation. Dropping every clone abandons the result; the
+/// simulation still runs to completion (and still populates the cache).
+/// A default ticket belongs to no pool and never finishes.
+#[derive(Debug, Clone, Default)]
 pub struct PointTicket {
-    rx: mpsc::Receiver<Outcome>,
+    slot: Arc<Slot>,
+}
+
+#[derive(Debug, Default)]
+struct Slot {
+    outcome: OnceLock<Result<RunResult, String>>,
+    lock: Mutex<()>,
+    filled: Condvar,
 }
 
 impl PointTicket {
+    fn fill(&self, outcome: Result<RunResult, String>) {
+        let _ = self.slot.outcome.set(outcome);
+        // Taking the lock orders the fill after any waiter's check.
+        let _guard = self.slot.lock.lock().unwrap_or_else(|e| e.into_inner());
+        self.slot.filled.notify_all();
+    }
+
     /// Blocks until the point's simulation finishes.
     ///
     /// # Panics
     ///
-    /// Resumes the simulation's own panic if it panicked (the pool
-    /// worker survives it).
+    /// Panics with the simulation's own panic message if it panicked
+    /// (the pool worker survives it).
     pub fn wait(self) -> RunResult {
-        let outcome = self
-            .rx
-            .recv()
-            .expect("resident pool worker exited before delivering its result");
-        unwrap_outcome(outcome)
+        let slot = &self.slot;
+        let guard = slot.lock.lock().unwrap_or_else(|e| e.into_inner());
+        drop(
+            slot.filled
+                .wait_while(guard, |_| slot.outcome.get().is_none())
+                .unwrap_or_else(|e| e.into_inner()),
+        );
+        match self.outcome().expect("woken only once filled") {
+            Ok(result) => result.clone(),
+            Err(msg) => panic::resume_unwind(Box::new(msg.to_string())),
+        }
     }
 
-    /// Non-blocking probe: the result if it is already available.
-    ///
-    /// # Panics
-    ///
-    /// As [`wait`](Self::wait), once the simulation has panicked.
-    pub fn try_wait(&self) -> Option<RunResult> {
-        self.rx.try_recv().ok().map(unwrap_outcome)
+    /// Non-blocking probe: `None` while the point is queued or running,
+    /// then its result or the simulation's panic message.
+    pub fn outcome(&self) -> Option<Result<&RunResult, &str>> {
+        self.slot
+            .outcome
+            .get()
+            .map(|o| o.as_ref().map_err(String::as_str))
     }
 }
 
-fn unwrap_outcome(outcome: Outcome) -> RunResult {
-    outcome.unwrap_or_else(|payload| panic::resume_unwind(payload))
+/// The message of a caught panic.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "simulation panicked".to_string())
 }
+
+/// Hands memory that finished simulations freed back to the OS. glibc
+/// otherwise keeps it in the worker's malloc arena: a Tiny simulation
+/// frees tens of MB, and a service whose pool goes idle between
+/// requests would hold the high-water mark of every arena its workers
+/// ever used.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_freed_memory() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
+    }
+    // SAFETY: `malloc_trim` only returns free heap pages to the OS,
+    // under glibc's own arena locks; live allocations are untouched.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_freed_memory() {}
 
 /// Shared state of the resident pool, plus the condvar workers park
 /// on while the queue is empty.
@@ -133,7 +180,7 @@ struct ResidentPool {
 
 #[derive(Debug, Default)]
 struct PoolState {
-    queue: VecDeque<(SweepPoint, mpsc::Sender<Outcome>)>,
+    queue: VecDeque<(SweepPoint, PointTicket)>,
     /// Set when the owning [`Sweeper`] drops; a worker exits once the
     /// pool is closed and the queue is empty.
     closed: bool,
@@ -210,56 +257,46 @@ impl Sweeper {
 
     /// Runs all points and returns their results in input order.
     ///
-    /// Cache probing happens serially up front (it is pure file I/O);
-    /// only the misses go to the resident pool, in input order. The
-    /// output is a pure function of `points` — worker count and
-    /// scheduling never show.
+    /// Cache probing ([`cached`](Self::cached)) happens serially up
+    /// front (it is pure file I/O); only the misses go to the resident
+    /// pool ([`submit`](Self::submit)), in input order. The output is a
+    /// pure function of `points` — worker count and scheduling never
+    /// show.
     ///
     /// # Panics
     ///
     /// Propagates a panic from any simulation.
     pub fn run(&self, points: Vec<SweepPoint>) -> Vec<RunResult> {
-        let m = &self.metrics;
-        let total_id = m.register("sweep/points_total");
-        let hits_id = m.register("sweep/cache_hits");
-        let miss_id = m.register("sweep/cache_misses");
         // Registered even when every point hits, so a warm sweep reports
         // `0 simulated` rather than no counter at all.
-        m.register("sweep/simulated");
-        m.add(total_id, points.len() as u64);
-
-        let mut slots: Vec<Result<RunResult, PointTicket>> = Vec::with_capacity(points.len());
-        for mut p in points {
-            if let Some(level) = self.audit {
-                p.cfg.audit = level;
-            }
-            match self.cache.as_ref().and_then(|c| c.load(p.key())) {
-                Some(hit) => {
-                    m.inc(hits_id);
-                    slots.push(Ok(hit));
-                }
-                None => {
-                    m.inc(miss_id);
-                    slots.push(Err(self.enqueue(p)));
-                }
-            }
+        for name in [
+            "sweep/points_total",
+            "sweep/cache_hits",
+            "sweep/cache_misses",
+            "sweep/simulated",
+        ] {
+            self.metrics.register(name);
         }
+        let slots: Vec<Result<RunResult, PointTicket>> = points
+            .into_iter()
+            .map(|p| self.cached(&p).ok_or_else(|| self.submit(p)))
+            .collect();
         let results = slots
             .into_iter()
             .map(|slot| slot.unwrap_or_else(PointTicket::wait))
             .collect();
         let seq = self.sweeps_run.fetch_add(1, Ordering::Relaxed);
-        m.snapshot(format!("sweep-{seq}"), SimTime::ZERO);
+        self.metrics.snapshot(format!("sweep-{seq}"), SimTime::ZERO);
         results
     }
 
     /// Probes the result cache for `point` without scheduling anything.
     ///
     /// The audit override is applied before the key is computed, exactly
-    /// as [`run`](Self::run) and [`submit`](Self::submit) do, so a probe
-    /// and a later submit of the same point agree on the key. A hit
-    /// counts into `sweep/points_total` and `sweep/cache_hits`; a miss
-    /// counts nothing (the caller is expected to `submit`, which does).
+    /// as [`submit`](Self::submit) does, so a probe and a later submit of
+    /// the same point agree on the key. A hit counts into
+    /// `sweep/points_total` and `sweep/cache_hits`; a miss counts nothing
+    /// (the caller is expected to `submit`, which does).
     pub fn cached(&self, point: &SweepPoint) -> Option<RunResult> {
         let cache = self.cache.as_ref()?;
         let key = match self.audit {
@@ -283,8 +320,8 @@ impl Sweeper {
     /// The pool's `jobs` workers are created on first use and kept
     /// parked on a condvar between jobs until the `Sweeper` drops. That
     /// is the shape a long-running server needs: callers submit from
-    /// many request threads, results fan back through per-ticket
-    /// channels, and the pool never has to be re-warmed. The cache (if
+    /// many request threads, results fan back through shared tickets,
+    /// and the pool never has to be re-warmed. The cache (if
     /// configured) is *not* probed here — callers that want the fast
     /// path probe [`cached`](Self::cached) first — but completed
     /// simulations are stored to it.
@@ -295,29 +332,25 @@ impl Sweeper {
         let m = &self.metrics;
         m.inc(m.register("sweep/points_total"));
         m.inc(m.register("sweep/cache_misses"));
-        self.enqueue(point)
-    }
-
-    /// Queues `point` (audit override already applied) on the resident
-    /// pool, starting the pool on first use.
-    fn enqueue(&self, point: SweepPoint) -> PointTicket {
         let pool = &self
             .resident
             .get_or_init(|| self.spawn_resident_pool())
             .pool;
-        let (tx, rx) = mpsc::channel();
+        let ticket = PointTicket::default();
         pool.state
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .queue
-            .push_back((point, tx));
+            .push_back((point, ticket.clone()));
         pool.ready.notify_one();
-        PointTicket { rx }
+        ticket
     }
 
     fn spawn_resident_pool(&self) -> Resident {
         let pool = Arc::new(ResidentPool::default());
         let sim_id = self.metrics.register("sweep/simulated");
+        let events_id = self.metrics.register("sweep/last_run/events");
+        let wall_id = self.metrics.register("sweep/last_run/wall_ns");
         let mut workers = Vec::with_capacity(self.jobs);
         for w in 0..self.jobs {
             let worker_id = self
@@ -331,7 +364,7 @@ impl Sweeper {
             let handle = thread::Builder::new()
                 .name(format!("sweep-pool-{w}"))
                 .spawn(move || loop {
-                    let (point, tx) = {
+                    let (point, ticket) = {
                         let mut st = pool.state.lock().unwrap_or_else(|e| e.into_inner());
                         loop {
                             if let Some(job) = st.queue.pop_front() {
@@ -345,18 +378,33 @@ impl Sweeper {
                     };
                     let key = point.key();
                     // A panicking simulation fails its own ticket, not
-                    // the worker: the payload travels to `wait`.
+                    // the worker: the message travels to the ticket.
+                    let started = Instant::now();
                     let outcome = panic::catch_unwind(AssertUnwindSafe(|| point.simulate()));
+                    let wall = started.elapsed();
                     if let Ok(result) = &outcome {
                         if let Some(c) = &cache {
                             // Best-effort: an unwritable cache directory
                             // slows reruns down, it does not fail them.
                             let _ = c.store(key, result);
                         }
+                        metrics.set(events_id, result.events);
+                        metrics.set(wall_id, wall.as_nanos() as u64);
                         metrics.inc(sim_id);
                         metrics.inc(worker_id);
                     }
-                    let _ = tx.send(outcome);
+                    // Filled after the cache store, so a finished ticket's
+                    // result is already on disk.
+                    ticket.fill(outcome.map_err(|p| panic_message(&*p)));
+                    let idle = pool
+                        .state
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .queue
+                        .is_empty();
+                    if idle {
+                        release_freed_memory();
+                    }
                 })
                 .expect("spawn resident pool worker");
             workers.push(handle);
@@ -435,7 +483,7 @@ mod tests {
     use super::*;
     use ndpb_core::design::DesignPoint;
     use ndpb_dram::Geometry;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     fn tiny_cfg() -> SystemConfig {
         SystemConfig::with_geometry(Geometry::with_total_ranks(1))
@@ -595,29 +643,24 @@ mod tests {
     fn a_panicking_point_fails_its_ticket_and_the_pool_survives() {
         let sw = Sweeper::new(1);
         let bad = SweepPoint::new("nope", Column::Ndp(DesignPoint::C), tiny_cfg(), Scale::Tiny);
-        let payload = panic::catch_unwind(AssertUnwindSafe(|| sw.submit(bad).wait()))
+        let bad = sw.submit(bad);
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| bad.clone().wait()))
             .expect_err("an unknown application must panic on wait");
-        let msg = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied())
-            .unwrap_or("");
+        let msg = payload.downcast::<String>().expect("the panic message");
         assert!(msg.contains("unknown application"), "payload: {msg:?}");
+        assert_eq!(bad.outcome().unwrap().err(), Some(msg.as_str()));
 
         // The lone worker must still be alive to run the next point.
         let good = sw.submit(points().swap_remove(0));
         let deadline = Instant::now() + Duration::from_secs(60);
-        let result = loop {
-            if let Some(r) = good.try_wait() {
-                break r;
-            }
+        while good.outcome().is_none() {
             assert!(
                 Instant::now() < deadline,
                 "the pool lost its worker to the earlier panic"
             );
             thread::sleep(Duration::from_millis(5));
-        };
-        assert_eq!(result.app, "ll");
+        }
+        assert_eq!(good.outcome().unwrap().unwrap().app, "ll");
         let report = sw.metrics().live_report();
         assert_eq!(report.final_value("sweep/simulated"), Some(1));
     }

@@ -143,31 +143,6 @@ impl BankModel {
         a
     }
 
-    /// Issues a streaming access spanning `bytes` starting at byte
-    /// `offset` in the bank, splitting it into per-row accesses. Returns
-    /// the completion time of the last piece.
-    pub fn access_span(
-        &mut self,
-        now: SimTime,
-        offset: u64,
-        bytes: u32,
-        write: bool,
-        timing: &DramTiming,
-    ) -> SimTime {
-        let row_bytes = timing.row_bytes as u64;
-        let mut remaining = bytes as u64;
-        let mut cursor = offset;
-        let mut end = now;
-        while remaining > 0 {
-            let row = cursor / row_bytes;
-            let in_row = (row_bytes - cursor % row_bytes).min(remaining);
-            end = self.access(end, row, in_row as u32, write, timing).end;
-            cursor += in_row;
-            remaining -= in_row;
-        }
-        end
-    }
-
     /// Precharges the bank (closes the open row); used when RowClone
     /// transfers reset row state.
     pub fn precharge(&mut self) {
@@ -243,16 +218,6 @@ mod tests {
         // Read then read: no penalty.
         let r2 = b.access(r.end, 1, 64, false, &t());
         assert_eq!(r2.start, r.end);
-    }
-
-    #[test]
-    fn span_crosses_rows() {
-        let mut b = BankModel::new();
-        // 1 KB rows: bytes 512..2560 touch rows 0, 1 and 2.
-        let end = b.access_span(SimTime::ZERO, 512, 2048, false, &t());
-        assert_eq!(b.activations.get(), 3);
-        assert!(end > SimTime::ZERO);
-        assert_eq!(b.bytes_read.get(), 2048);
     }
 
     #[test]

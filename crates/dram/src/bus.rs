@@ -118,16 +118,6 @@ impl Bus {
         g
     }
 
-    /// Reserves a window of fixed duration (e.g. a command slot that
-    /// occupies C/A but moves no data).
-    pub fn reserve_duration(&mut self, now: SimTime, duration: SimTime) -> BusGrant {
-        let start = now.max(self.free_at);
-        let end = start + duration;
-        self.free_at = end;
-        self.busy.record(start, end);
-        BusGrant { start, end }
-    }
-
     /// When the link next becomes idle.
     pub fn free_at(&self) -> SimTime {
         self.free_at
@@ -163,15 +153,6 @@ mod tests {
         bus.reserve(SimTime::ZERO, 4);
         let late = bus.reserve(SimTime::from_ticks(100), 4);
         assert_eq!(late.start.ticks(), 100);
-    }
-
-    #[test]
-    fn duration_reservation() {
-        let mut bus = Bus::new(64);
-        let g = bus.reserve_duration(SimTime::ZERO, SimTime::from_ticks(7));
-        assert_eq!(g.end.ticks(), 7);
-        assert_eq!(bus.free_at().ticks(), 7);
-        assert_eq!(bus.bytes.get(), 0);
     }
 
     #[test]

@@ -13,16 +13,17 @@
 //! | `SCATTER` | WRITE to `R_COL` | deliver `G_xfer` bytes of messages to a child |
 //! | `SCHEDULE` | ACTIVATE with budget in the row address | start load balancing at a giver |
 //!
-//! This crate models those wire formats ([`message`]), the per-unit and
-//! per-bridge mailbox ring buffers ([`mailbox`]), and the command
-//! encodings with their C/A timing cost ([`commands`]).
+//! This crate models the wire formats ([`message`]) and the per-unit
+//! and per-bridge mailbox ring buffers ([`mailbox`]). The commands
+//! themselves are not modelled as C/A-link traffic: the simulator
+//! (`ndpb-core`) charges each GATHER/SCATTER as the DQ transfer of its
+//! payload plus the bank access on the controller's reserved rows, and
+//! issues the forged command slots for free.
 
 #![warn(missing_docs)]
 
-pub mod commands;
 pub mod mailbox;
 pub mod message;
 
-pub use commands::BridgeCommand;
 pub use mailbox::{Mailbox, MailboxFull};
 pub use message::{DataMessage, Message, StateMessage, MAX_MESSAGE_BYTES};

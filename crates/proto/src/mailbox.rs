@@ -87,55 +87,10 @@ impl Mailbox {
     pub fn push(&mut self, msg: Message) -> Result<(), MailboxFull> {
         let needed = msg.wire_bytes();
         let free = self.capacity_bytes - self.used_bytes;
-        if (needed as u64) > free {
-            self.stalls += 1;
-            self.full_latched = true;
-            return Err(MailboxFull { needed, free });
+        match self.try_push(msg) {
+            None => Ok(()),
+            Some(_) => Err(MailboxFull { needed, free }),
         }
-        self.used_bytes += needed as u64;
-        self.peak_bytes = self.peak_bytes.max(self.used_bytes);
-        self.queue.push_back(msg);
-        self.full_latched = false;
-        Ok(())
-    }
-
-    /// [`push`](Self::push) with a trace hook: emits
-    /// [`TraceEvent::MailboxEnqueue`] on success, and on failure a
-    /// [`TraceEvent::MailboxFull`] — but only for the *first* rejection
-    /// of a full episode (latched until space frees), so one stall
-    /// produces exactly one event no matter how often it is retried.
-    pub fn push_traced(
-        &mut self,
-        msg: Message,
-        now: SimTime,
-        comp: ComponentId,
-        trace: Option<&mut dyn TraceSink>,
-    ) -> Result<(), MailboxFull> {
-        let was_latched = self.full_latched;
-        let needed = msg.wire_bytes();
-        let res = self.push(msg);
-        if let Some(t) = trace {
-            match &res {
-                Ok(()) => t.record(TraceRecord::instant(
-                    now,
-                    comp,
-                    TraceEvent::MailboxEnqueue {
-                        bytes: needed,
-                        used: self.used_bytes,
-                    },
-                )),
-                Err(_) if !was_latched => t.record(TraceRecord::instant(
-                    now,
-                    comp,
-                    TraceEvent::MailboxFull {
-                        needed,
-                        used: self.used_bytes,
-                    },
-                )),
-                Err(_) => {}
-            }
-        }
-        res
     }
 
     /// Like [`Mailbox::push`], but hands the message back on failure
@@ -154,8 +109,11 @@ impl Mailbox {
         None
     }
 
-    /// [`try_push`](Self::try_push) with a trace hook; same once-per-stall
-    /// latching as [`push_traced`](Self::push_traced).
+    /// [`try_push`](Self::try_push) with a trace hook: emits
+    /// [`TraceEvent::MailboxEnqueue`] on success, and on failure a
+    /// [`TraceEvent::MailboxFull`] — but only for the *first* rejection
+    /// of a full episode (latched until space frees), so one stall
+    /// produces exactly one event no matter how often it is retried.
     pub fn try_push_traced(
         &mut self,
         msg: Message,

@@ -103,7 +103,13 @@ fn count_events(recs: &[ndpb_trace::TraceRecord], name: &str) -> usize {
     recs.iter().filter(|r| r.event.name() == name).count()
 }
 
-/// The traced push paths must emit `mailbox-full` exactly once per
+/// One traced push of a task message at tick `at`; true if accepted.
+fn push(mb: &mut Mailbox, rec: &mut RingRecorder, comp: ComponentId, at: u64) -> bool {
+    mb.try_push_traced(task_msg(), SimTime::from_ticks(at), comp, Some(rec))
+        .is_none()
+}
+
+/// The traced push path must emit `mailbox-full` exactly once per
 /// contiguous full episode — retries while still full stay silent, and
 /// only a drain re-arms the latch for the next episode.
 #[test]
@@ -112,19 +118,13 @@ fn full_event_emitted_once_per_stall_episode() {
     let mut mb = Mailbox::new(msg_sz);
     let mut rec = RingRecorder::new(64);
     let comp = ComponentId::Unit(7);
-    let t = |ticks| SimTime::from_ticks(ticks);
 
-    mb.push_traced(task_msg(), t(0), comp, Some(&mut rec))
-        .unwrap();
+    assert!(push(&mut mb, &mut rec, comp, 0));
     // First rejection of the episode: one mailbox-full event...
-    mb.push_traced(task_msg(), t(1), comp, Some(&mut rec))
-        .unwrap_err();
-    // ...retries while still full (either push flavour) add nothing.
-    mb.push_traced(task_msg(), t(2), comp, Some(&mut rec))
-        .unwrap_err();
-    assert!(mb
-        .try_push_traced(task_msg(), t(3), comp, Some(&mut rec))
-        .is_some());
+    assert!(!push(&mut mb, &mut rec, comp, 1));
+    // ...retries while still full add nothing.
+    assert!(!push(&mut mb, &mut rec, comp, 2));
+    assert!(!push(&mut mb, &mut rec, comp, 3));
     let recs = rec.take_records();
     assert_eq!(count_events(&recs, "mailbox-enqueue"), 1);
     assert_eq!(count_events(&recs, "mailbox-full"), 1, "{recs:?}");
@@ -133,12 +133,9 @@ fn full_event_emitted_once_per_stall_episode() {
     // Draining ends the episode; the next full period emits exactly one
     // more event.
     assert_eq!(mb.drain_up_to(u32::MAX).len(), 1);
-    mb.push_traced(task_msg(), t(4), comp, Some(&mut rec))
-        .unwrap();
-    mb.push_traced(task_msg(), t(5), comp, Some(&mut rec))
-        .unwrap_err();
-    mb.push_traced(task_msg(), t(6), comp, Some(&mut rec))
-        .unwrap_err();
+    assert!(push(&mut mb, &mut rec, comp, 4));
+    assert!(!push(&mut mb, &mut rec, comp, 5));
+    assert!(!push(&mut mb, &mut rec, comp, 6));
     let recs = rec.take_records();
     assert_eq!(count_events(&recs, "mailbox-full"), 1);
     let full = recs
@@ -164,18 +161,13 @@ fn successful_push_rearms_full_latch() {
     let mut mb = Mailbox::new(msg_sz);
     let mut rec = RingRecorder::new(64);
     let comp = ComponentId::Bridge(0);
-    let t = |ticks| SimTime::from_ticks(ticks);
 
-    mb.push_traced(task_msg(), t(0), comp, Some(&mut rec))
-        .unwrap();
-    mb.push_traced(task_msg(), t(1), comp, Some(&mut rec))
-        .unwrap_err();
+    assert!(push(&mut mb, &mut rec, comp, 0));
+    assert!(!push(&mut mb, &mut rec, comp, 1));
     mb.drain_up_to(u32::MAX);
     // Episode 2: fill, reject.
-    mb.push_traced(task_msg(), t(2), comp, Some(&mut rec))
-        .unwrap();
-    mb.push_traced(task_msg(), t(3), comp, Some(&mut rec))
-        .unwrap_err();
+    assert!(push(&mut mb, &mut rec, comp, 2));
+    assert!(!push(&mut mb, &mut rec, comp, 3));
     let recs = rec.take_records();
     assert_eq!(count_events(&recs, "mailbox-full"), 2);
     assert_eq!(count_events(&recs, "mailbox-enqueue"), 2);

@@ -5,15 +5,10 @@
 //! else (no chunked encoding, no TLS, no compression). The service's
 //! request bodies are a few hundred bytes of JSON and its responses are
 //! single JSON documents, so the subset is exactly what is exercised.
-//!
-//! The same port also speaks a one-line **line protocol** (`run {...}`,
-//! `job 3`, `metrics`, `healthz`, `shutdown`): the first line of a
-//! connection that does not end in `HTTP/1.x` is treated as a command
-//! and answered with one line of JSON. That keeps CI smokes and quick
-//! pokes possible from bare `bash` (`/dev/tcp`) without `curl`.
+//! An HTTP/1.0 request closes its connection after the reply, so bare
+//! `bash` (`/dev/tcp`) can drive the service without `curl`.
 
 use std::io::{self, BufRead, Read, Write};
-use std::net::TcpStream;
 
 /// Cap on the request line plus header block, and on the body: the
 /// service's real requests are tiny, so anything huge is a mistake or
@@ -21,27 +16,17 @@ use std::net::TcpStream;
 const MAX_HEADER_BYTES: usize = 16 * 1024;
 const MAX_BODY_BYTES: usize = 1024 * 1024;
 
-/// One parsed inbound request, either HTTP or line-protocol.
+/// One parsed HTTP request.
 #[derive(Debug)]
-pub enum Request {
-    /// A full HTTP request.
-    Http {
-        /// Request method (`GET`, `POST`, …), uppercased by the client.
-        method: String,
-        /// Request path (`/run`, `/job/3`, …), query string stripped.
-        path: String,
-        /// Request body (empty without a `Content-Length`).
-        body: String,
-        /// Whether the client asked to keep the connection open.
-        keep_alive: bool,
-    },
-    /// A one-line command (`run {...}`, `metrics`, …).
-    Line {
-        /// The command word.
-        cmd: String,
-        /// Everything after the command word.
-        rest: String,
-    },
+pub struct Request {
+    /// Request method (`GET`, `POST`, …), uppercased.
+    pub method: String,
+    /// Request path (`/run`, `/job/3`, …), query string stripped.
+    pub path: String,
+    /// Request body (empty without a `Content-Length`).
+    pub body: String,
+    /// Whether the connection stays open after the reply.
+    pub keep_alive: bool,
 }
 
 /// Reads one line (newline included) of at most `*budget` bytes and
@@ -66,8 +51,8 @@ fn read_bounded_line<R: BufRead>(reader: &mut R, budget: &mut usize) -> io::Resu
 }
 
 /// Reads one request off the connection. `Ok(None)` is a clean EOF
-/// (client closed between keep-alive requests); errors are malformed or
-/// oversized requests and should close the connection.
+/// (client closed between keep-alive requests); errors are malformed,
+/// oversized or non-HTTP requests and should close the connection.
 pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
     let mut budget = MAX_HEADER_BYTES;
     let line = read_bounded_line(reader, &mut budget)?;
@@ -79,28 +64,23 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
         return Ok(None);
     }
 
-    let is_http = line.ends_with("HTTP/1.1") || line.ends_with("HTTP/1.0");
-    if !is_http {
-        let (cmd, rest) = match line.split_once(' ') {
-            Some((c, r)) => (c, r.trim()),
-            None => (line, ""),
-        };
-        return Ok(Some(Request::Line {
-            cmd: cmd.to_ascii_lowercase(),
-            rest: rest.to_string(),
-        }));
-    }
-
+    // HTTP/1.1 keeps the connection open by default, HTTP/1.0 closes it.
+    let mut keep_alive = if line.ends_with("HTTP/1.1") {
+        true
+    } else if line.ends_with("HTTP/1.0") {
+        false
+    } else {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "not an HTTP/1.x request line",
+        ));
+    };
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or("").to_ascii_uppercase();
     let target = parts.next().unwrap_or("/");
     let path = target.split('?').next().unwrap_or("/").to_string();
 
     let mut content_length = 0usize;
-    let mut keep_alive = true; // HTTP/1.1 default
-    if line.ends_with("HTTP/1.0") {
-        keep_alive = false;
-    }
     loop {
         let h = read_bounded_line(reader, &mut budget)?;
         if h.is_empty() {
@@ -141,7 +121,7 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
     let body = String::from_utf8(body)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "body not utf-8"))?;
 
-    Ok(Some(Request::Http {
+    Ok(Some(Request {
         method,
         path,
         body,
@@ -163,30 +143,25 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one HTTP response with a JSON body.
+/// Writes one HTTP response with a JSON body: head and body go out in
+/// a single write, so a keep-alive client never waits out a delayed ACK
+/// between them.
 pub fn write_response(
-    stream: &mut TcpStream,
+    w: &mut impl Write,
     status: u16,
     body: &str,
     keep_alive: bool,
 ) -> io::Result<()> {
-    let head = format!(
+    let mut out = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         status,
         reason(status),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
-}
-
-/// Writes one line-protocol response: the JSON body and a newline.
-pub fn write_line(stream: &mut TcpStream, body: &str) -> io::Result<()> {
-    stream.write_all(body.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
+    out.push_str(body);
+    w.write_all(out.as_bytes())?;
+    w.flush()
 }
 
 #[cfg(test)]
@@ -217,10 +192,41 @@ mod tests {
     }
 
     #[test]
+    fn response_is_one_write() {
+        /// Counts `write` calls.
+        struct Counting(usize, Vec<u8>);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0 += 1;
+                self.1.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting(0, Vec::new());
+        write_response(&mut w, 429, "{}", false).unwrap();
+        assert_eq!(w.0, 1);
+        assert_eq!(
+            String::from_utf8(w.1).unwrap(),
+            "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}"
+        );
+    }
+
+    #[test]
+    fn non_http_lines_are_rejected() {
+        for line in ["healthz\n", "GET / HTTP/2\r\n\r\n"] {
+            let err = read_request(&mut Cursor::new(line)).expect_err(line);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+    }
+
+    #[test]
     fn mutated_requests_never_panic() {
         assert!(matches!(
             read_request(&mut Cursor::new(RUN)),
-            Ok(Some(Request::Http { ref path, .. })) if path == "/run"
+            Ok(Some(Request { ref path, .. })) if path == "/run"
         ));
         const PIECES: &[u8] = b"\r\n: 0123456789";
         // xorshift64: deterministic mutations without a dependency.

@@ -5,16 +5,13 @@
 //! cell becomes a [`SweepPoint`] whose content-addressed key (the same
 //! key the on-disk cache uses) also identifies it for *in-flight
 //! deduplication*: all concurrently submitted requests for one key
-//! share a single [`PointCell`], the simulation runs exactly once, and
-//! the result fans back out to every waiter. Keys whose result is
-//! already on disk are served straight from the cache and never touch
-//! the pool.
-
-use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+//! share a single [`PointTicket`], the simulation runs exactly once,
+//! and every job holding the ticket reads the result. Keys whose
+//! result is already on disk are served straight from the cache and
+//! never touch the pool.
 
 use ndpb_bench::json::Json;
-use ndpb_bench::{Column, SweepPoint};
+use ndpb_bench::{Column, PointTicket, SweepPoint};
 use ndpb_core::audit::AuditLevel;
 use ndpb_core::config::SystemConfig;
 use ndpb_core::design::DesignPoint;
@@ -166,99 +163,107 @@ impl RunRequest {
     }
 }
 
-/// The rendezvous for one in-flight (or already-served) point: filled
-/// with the result's JSON exactly once, then read by every job that
-/// attached to it.
-#[derive(Debug, Default)]
-pub struct PointCell {
-    result: Mutex<Option<String>>,
-    done: Condvar,
+/// One point of a job: the rendered result of a cache hit, or the
+/// ticket of the simulation that produces it, shared with every job
+/// that asked for the same point while it was in flight. A simulated
+/// point is rendered only when its job is polled.
+#[derive(Debug, Clone)]
+pub enum JobPoint {
+    /// A cache hit, rendered at admission.
+    Ready(String),
+    /// A point on the pool.
+    Pending(PointTicket),
 }
 
-impl PointCell {
-    /// A cell already holding `json` (cache fast path).
-    pub fn ready(json: String) -> Arc<Self> {
-        let cell = PointCell::default();
-        *cell.result.lock().unwrap_or_else(|e| e.into_inner()) = Some(json);
-        Arc::new(cell)
+impl JobPoint {
+    /// `None` while the point simulates, then `Ok` or the panic message.
+    fn outcome(&self) -> Option<Result<(), &str>> {
+        match self {
+            JobPoint::Ready(_) => Some(Ok(())),
+            JobPoint::Pending(t) => Some(t.outcome()?.map(|_| ())),
+        }
     }
 
-    /// Fills the cell and wakes blocked waiters. Filling twice is a
-    /// logic error upstream (each key has one owner).
-    pub fn fill(&self, json: String) {
-        let mut g = self.result.lock().unwrap_or_else(|e| e.into_inner());
-        debug_assert!(g.is_none(), "point cell filled twice");
-        *g = Some(json);
-        self.done.notify_all();
-    }
-
-    /// The result, if the point has completed.
-    pub fn peek(&self) -> Option<String> {
-        self.result
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    /// Blocks until the cell is filled and returns the result.
-    pub fn wait(&self) -> String {
-        let mut g = self.result.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(json) = g.as_ref() {
-                return json.clone();
-            }
-            g = self.done.wait(g).unwrap_or_else(|e| e.into_inner());
+    fn result_json(&self) -> Option<String> {
+        match self {
+            JobPoint::Ready(json) => Some(json.clone()),
+            JobPoint::Pending(t) => Some(t.outcome()?.ok()?.to_json()),
         }
     }
 }
 
-/// One accepted job: an ordered list of point cells (shared with other
-/// jobs that requested the same points).
+/// One accepted job: its points in request order.
 #[derive(Debug, Clone)]
 pub struct Job {
-    /// Cells in request point order.
-    pub cells: Vec<Arc<PointCell>>,
+    /// Points in request order.
+    pub points: Vec<JobPoint>,
 }
 
 impl Job {
-    /// `queued` / `running` / `done` for `GET /job/{id}`: `done` once
-    /// every cell is filled, `running` once any is (progress exists),
-    /// `queued` before that.
+    /// `queued` / `running` / `done` / `failed` for `GET /job/{id}`:
+    /// `queued` before any point finished, `running` once some have,
+    /// and once all have, `failed` if any simulation panicked, else
+    /// `done`.
     pub fn status(&self) -> &'static str {
-        let filled = self.cells.iter().filter(|c| c.peek().is_some()).count();
-        if filled == self.cells.len() {
-            "done"
-        } else if filled > 0 {
-            "running"
+        let outcomes: Vec<_> = self.points.iter().filter_map(JobPoint::outcome).collect();
+        if outcomes.len() < self.points.len() {
+            if outcomes.is_empty() {
+                "queued"
+            } else {
+                "running"
+            }
+        } else if outcomes.iter().any(Result::is_err) {
+            "failed"
         } else {
-            "queued"
+            "done"
         }
     }
 
-    /// Renders the job document. `results` appears only when done, as
-    /// an array of `RunResult` JSON documents in point order.
+    /// Renders the job document. A `done` job carries `results`, an
+    /// array of `RunResult` JSON documents in point order, rendered
+    /// now; a `failed` one carries the first panic message as `error`.
     pub fn to_json(&self, id: u64) -> String {
         let status = self.status();
-        if status != "done" {
-            return format!(
-                "{{\"id\":{id},\"status\":\"{status}\",\"points\":{}}}",
-                self.cells.len()
-            );
+        let head = format!(
+            "{{\"id\":{id},\"status\":\"{status}\",\"points\":{}",
+            self.points.len()
+        );
+        match status {
+            "done" => {
+                let results: Vec<String> = self
+                    .points
+                    .iter()
+                    .filter_map(JobPoint::result_json)
+                    .collect();
+                format!("{head},\"results\":[{}]}}", results.join(","))
+            }
+            "failed" => {
+                let error = self.points.iter().find_map(|p| p.outcome()?.err());
+                format!("{head},\"error\":{}}}", json_string(error.unwrap_or("")))
+            }
+            _ => format!("{head}}}"),
         }
-        let results: Vec<String> = self.cells.iter().map(|c| c.wait()).collect();
-        format!(
-            "{{\"id\":{id},\"status\":\"done\",\"points\":{},\"results\":[{}]}}",
-            self.cells.len(),
-            results.join(",")
-        )
     }
 }
 
-/// The in-flight dedup table: point key → the cell its simulation will
-/// fill. Entries are removed *after* the cell is filled and the result
-/// is stored in the on-disk cache, so a key is always obtainable from
-/// exactly one of {inflight table, cache} once submitted.
-pub type Inflight = Mutex<HashMap<u64, Arc<PointCell>>>;
+/// `s` as a JSON string literal, quotes included.
+pub(crate) fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
 
 #[cfg(test)]
 mod tests {
@@ -345,32 +350,54 @@ mod tests {
 
     #[test]
     fn job_status_progresses_with_cell_fills() {
-        let a = Arc::new(PointCell::default());
-        let b = Arc::new(PointCell::default());
-        let job = Job {
-            cells: vec![a.clone(), b.clone()],
-        };
-        assert_eq!(job.status(), "queued");
-        a.fill("{\"x\":1}".to_string());
-        assert_eq!(job.status(), "running");
-        b.fill("{\"y\":2}".to_string());
-        assert_eq!(job.status(), "done");
+        let sw = ndpb_bench::Sweeper::new(1);
+        let cfg = SystemConfig::table1();
+        let bad = sw.submit(SweepPoint::new("nope", Column::Host, cfg, Scale::Tiny));
+        let hit = || JobPoint::Ready("{\"x\":1}".to_string());
+        let pending = |t: &PointTicket| JobPoint::Pending(t.clone());
+        let unscheduled = PointTicket::default();
+        let job = |points| Job { points };
+        assert_eq!(job(vec![pending(&unscheduled)]).status(), "queued");
+        assert_eq!(job(vec![hit(), pending(&unscheduled)]).status(), "running");
         assert_eq!(
-            job.to_json(7),
-            "{\"id\":7,\"status\":\"done\",\"points\":2,\"results\":[{\"x\":1},{\"y\":2}]}"
+            job(vec![hit(), hit()]).to_json(7),
+            "{\"id\":7,\"status\":\"done\",\"points\":2,\"results\":[{\"x\":1},{\"x\":1}]}"
         );
+        while bad.outcome().is_none() {
+            std::thread::yield_now();
+        }
+        let doc = job(vec![hit(), pending(&bad)]).to_json(9);
+        let doc = Json::parse(&doc).expect("failed job is valid JSON");
+        assert_eq!(doc.str_field("status"), Some("failed"));
+        assert!(doc.get("results").is_none());
+        assert!(doc
+            .str_field("error")
+            .unwrap()
+            .contains("unknown application"));
     }
 
     #[test]
     fn waiters_block_until_fill() {
-        let cell = Arc::new(PointCell::default());
-        let waiter = {
-            let cell = cell.clone();
-            std::thread::spawn(move || cell.wait())
+        // A blocked waiter and a job share one ticket: one simulation,
+        // and the job renders the same result when polled.
+        let sw = ndpb_bench::Sweeper::new(1);
+        let cfg = SystemConfig::table1();
+        let ticket = sw.submit(SweepPoint::new("ll", Column::Host, cfg, Scale::Tiny));
+        let waiter = std::thread::spawn({
+            let ticket = ticket.clone();
+            move || ticket.wait()
+        });
+        let result = waiter.join().unwrap().to_json();
+        let job = Job {
+            points: vec![JobPoint::Pending(ticket)],
         };
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        cell.fill("{}".to_string());
-        assert_eq!(waiter.join().unwrap(), "{}");
-        assert_eq!(cell.peek(), Some("{}".to_string()));
+        assert!(job.to_json(1).ends_with(&format!("[{result}]}}")));
+        let simulated = sw.metrics().live_report().final_value("sweep/simulated");
+        assert_eq!(simulated, Some(1));
+    }
+
+    #[test]
+    fn json_string_escapes_quotes_backslashes_and_controls() {
+        assert_eq!(json_string("a\"b\\c\n\u{1}"), "\"a\\\"b\\\\c\\n\\u0001\"");
     }
 }

@@ -12,26 +12,31 @@
 //!   (`max_queue`, 429 on overflow) and the per-request point count
 //!   (`max_points`, 413 on overflow); a draining server answers 503.
 //! * **Dedup** coalesces identical in-flight [`SweepPoint`]s: all
-//!   concurrent requests for one content-addressed key share one
-//!   [`jobs::PointCell`], the simulation runs exactly once, and the
-//!   result fans out to every attached job.
+//!   concurrent requests for one content-addressed key share the pool's
+//!   [`PointTicket`], the simulation runs exactly once, and every
+//!   attached job reads the result from that ticket when polled.
 //! * The **resident pool** is [`Sweeper::submit`] — detached workers
-//!   that survive between requests.
+//!   that survive between requests and fill each ticket directly, with
+//!   the result or the simulation's panic message (the job then reads
+//!   `failed`).
 //! * The **cache** serves repeat keys without touching the pool at all:
-//!   pool workers store results on disk *before* completing a point, so
-//!   every submitted key is obtainable from exactly one of
-//!   {in-flight table, cache}.
+//!   pool workers store results on disk *before* filling a ticket, and
+//!   finished tickets leave the in-flight table only at the next
+//!   admission, so every submitted key is obtainable from the in-flight
+//!   table or the cache.
 //!
 //! Endpoints: `POST /run`, `GET /job/{id}`, `GET /metrics`,
-//! `GET /healthz`, `POST /shutdown`. The same port speaks a one-line
-//! protocol (see [`http`]) so `bash` alone can drive a smoke test.
-//! SIGINT or `/shutdown` drains in-flight jobs before exiting.
+//! `GET /healthz`, `POST /shutdown`, over a small HTTP/1.1 subset (see
+//! [`http`]). `/metrics` carries the server counters, the pool's
+//! `last_run` gauges (events and wall time of the latest simulation,
+//! timed by the worker around `simulate`) and the pool's live metrics
+//! table. SIGINT or `/shutdown` drains in-flight jobs before exiting.
 
 pub mod http;
 pub mod jobs;
 
 use std::collections::HashMap;
-use std::io::{self, Write as _};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -39,10 +44,9 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use ndpb_bench::{SweepPoint, Sweeper};
+use ndpb_bench::{PointTicket, SweepPoint, Sweeper};
 
-use http::Request;
-use jobs::{Job, PointCell, RunRequest};
+use jobs::{json_string, Job, JobPoint, RunRequest};
 
 /// Tunables for [`Server::bind`].
 #[derive(Debug, Clone)]
@@ -89,23 +93,14 @@ pub struct State {
     sweeper: Sweeper,
     jobs: Mutex<HashMap<u64, Job>>,
     next_job: AtomicU64,
-    inflight: jobs::Inflight,
+    /// In-flight dedup table: point key → the ticket its simulation
+    /// fills (after storing the result in the cache).
+    inflight: Mutex<HashMap<u64, PointTicket>>,
     max_queue: usize,
     max_points: usize,
     accepted: AtomicU64,
     rejected: AtomicU64,
     deduped: AtomicU64,
-    cache_hits: AtomicU64,
-    in_flight: AtomicU64,
-    // Last-completed-run throughput snapshot (latest writer wins):
-    // simulated event count and submit→completion wall time, surfaced
-    // as events/sec by `/metrics` so a resident server exposes its own
-    // simulator throughput. Zeros until a point
-    // completes; cache fast-path hits simulate nothing and leave it
-    // untouched.
-    last_events: AtomicU64,
-    last_wall_ns: AtomicU64,
-    completed: AtomicU64,
     shutdown: AtomicBool,
 }
 
@@ -125,11 +120,6 @@ impl State {
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             deduped: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            last_events: AtomicU64::new(0),
-            last_wall_ns: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         })
     }
@@ -149,13 +139,15 @@ impl State {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Unique in-flight (submitted, not yet completed) points.
+    /// Unique in-flight (submitted, not yet finished) points: the
+    /// unfinished tickets in the in-flight table.
     pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::SeqCst)
+        let inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
+        inflight.values().filter(|t| t.outcome().is_none()).count() as u64
     }
 
     /// Routes one parsed request to its handler; returns (status, body).
-    pub fn dispatch(self: &Arc<Self>, method: &str, path: &str, body: &str) -> (u16, String) {
+    pub fn dispatch(&self, method: &str, path: &str, body: &str) -> (u16, String) {
         match (method, path) {
             ("POST", "/run") => self.handle_run(body),
             ("GET", "/metrics") => (200, self.metrics_json()),
@@ -170,20 +162,24 @@ impl State {
         }
     }
 
-    /// `POST /run`: admission → cache fast path → dedup → pool.
-    fn handle_run(self: &Arc<Self>, body: &str) -> (u16, String) {
+    /// `POST /run`: parse, then [`admit`](Self::admit).
+    fn handle_run(&self, body: &str) -> (u16, String) {
         if self.shutting_down() {
             self.rejected.fetch_add(1, Ordering::SeqCst);
             return (503, err_body("shutting down"));
         }
-        let req = match RunRequest::parse(body) {
-            Ok(r) => r,
+        match RunRequest::parse(body) {
+            Ok(req) => self.admit(req.points()),
             Err(e) => {
                 self.rejected.fetch_add(1, Ordering::SeqCst);
-                return (400, err_body(&e));
+                (400, err_body(&e))
             }
-        };
-        let points = req.points();
+        }
+    }
+
+    /// Admission → dedup → cache fast path → pool, for one request's
+    /// points; answers the new job's document.
+    fn admit(&self, points: Vec<SweepPoint>) -> (u16, String) {
         if points.len() > self.max_points {
             self.rejected.fetch_add(1, Ordering::SeqCst);
             return (
@@ -198,71 +194,52 @@ impl State {
 
         // Classify every point under the in-flight lock so admission,
         // dedup and the cache fast path are atomic with respect to
-        // concurrent submitters and completions. (Pool workers store a
-        // result to the cache *before* its key leaves the table, so a
-        // key missing here and missing in the cache is genuinely new.)
-        let mut cells: Vec<Arc<PointCell>> = Vec::with_capacity(points.len());
-        let mut fresh: Vec<(u64, SweepPoint, Arc<PointCell>)> = Vec::new();
-        {
-            let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-            for p in points {
-                let key = p.key();
-                if let Some(cell) = inflight.get(&key) {
-                    self.deduped.fetch_add(1, Ordering::SeqCst);
-                    cells.push(cell.clone());
-                } else if let Some(hit) = self.sweeper.cached(&p) {
-                    self.cache_hits.fetch_add(1, Ordering::SeqCst);
-                    cells.push(PointCell::ready(hit.to_json()));
-                } else {
-                    let cell = Arc::new(PointCell::default());
-                    cells.push(cell.clone());
-                    fresh.push((key, p, cell));
-                }
-            }
-            if inflight.len() + fresh.len() > self.max_queue {
-                // Reject before submitting anything; attached dedup
-                // cells cost nothing (their owners keep running).
-                self.rejected.fetch_add(1, Ordering::SeqCst);
-                return (
-                    429,
-                    err_body(&format!(
-                        "queue full ({} in flight, {} requested, bound {})",
-                        inflight.len(),
-                        fresh.len(),
-                        self.max_queue
-                    )),
-                );
-            }
-            for (key, point, cell) in fresh {
-                inflight.insert(key, cell.clone());
-                self.in_flight.fetch_add(1, Ordering::SeqCst);
-                let ticket = self.sweeper.submit(point);
-                let state = Arc::clone(self);
-                let submitted = std::time::Instant::now();
-                // One lightweight waiter per unique point bridges the
-                // pool's ticket to every job attached to the cell.
-                thread::spawn(move || {
-                    let result = ticket.wait();
-                    let wall = submitted.elapsed();
-                    state.last_events.store(result.events, Ordering::SeqCst);
-                    state
-                        .last_wall_ns
-                        .store(wall.as_nanos() as u64, Ordering::SeqCst);
-                    state.completed.fetch_add(1, Ordering::SeqCst);
-                    let json = result.to_json();
-                    {
-                        let mut inflight = state.inflight.lock().unwrap_or_else(|e| e.into_inner());
-                        cell.fill(json);
-                        inflight.remove(&key);
-                    }
-                    state.in_flight.fetch_sub(1, Ordering::SeqCst);
-                });
+        // concurrent submitters. A finished ticket's result is already
+        // in the cache (or its simulation failed and a resubmit retries
+        // it), so finished tickets leave the table first.
+        let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
+        inflight.retain(|_, t| t.outcome().is_none());
+        let mut slots: Vec<Result<JobPoint, (u64, SweepPoint)>> = Vec::with_capacity(points.len());
+        for p in points {
+            let key = p.key();
+            if let Some(ticket) = inflight.get(&key) {
+                self.deduped.fetch_add(1, Ordering::SeqCst);
+                slots.push(Ok(JobPoint::Pending(ticket.clone())));
+            } else if let Some(hit) = self.sweeper.cached(&p) {
+                slots.push(Ok(JobPoint::Ready(hit.to_json())));
+            } else {
+                slots.push(Err((key, p)));
             }
         }
+        let fresh = slots.iter().filter(|s| s.is_err()).count();
+        if inflight.len() + fresh > self.max_queue {
+            // Reject before submitting anything; attached dedup
+            // tickets cost nothing (their owners keep running).
+            self.rejected.fetch_add(1, Ordering::SeqCst);
+            return (
+                429,
+                err_body(&format!(
+                    "queue full ({} in flight, {fresh} requested, bound {})",
+                    inflight.len(),
+                    self.max_queue
+                )),
+            );
+        }
+        let points = slots
+            .into_iter()
+            .map(|slot| {
+                slot.unwrap_or_else(|(key, point)| {
+                    let ticket = self.sweeper.submit(point);
+                    inflight.insert(key, ticket.clone());
+                    JobPoint::Pending(ticket)
+                })
+            })
+            .collect();
+        drop(inflight);
 
         self.accepted.fetch_add(1, Ordering::SeqCst);
         let id = self.next_job.fetch_add(1, Ordering::SeqCst);
-        let job = Job { cells };
+        let job = Job { points };
         let doc = job.to_json(id);
         self.jobs
             .lock()
@@ -286,11 +263,16 @@ impl State {
         }
     }
 
-    /// `GET /metrics`: server counters, the last completed run's
-    /// throughput, plus the engine's live table.
+    /// `GET /metrics`: server counters, the latest simulation's
+    /// throughput, plus the engine's live table. `cache_hits`,
+    /// `completed` and `last_run` read the engine's own counters;
+    /// `last_run.wall_ns` is the latest simulation's own wall time,
+    /// zero until one finishes.
     pub fn metrics_json(&self) -> String {
-        let last_events = self.last_events.load(Ordering::SeqCst);
-        let last_wall_ns = self.last_wall_ns.load(Ordering::SeqCst);
+        let sweep = self.sweeper.metrics().live_report();
+        let value = |name| sweep.final_value(name).unwrap_or(0);
+        let last_events = value("sweep/last_run/events");
+        let last_wall_ns = value("sweep/last_run/wall_ns");
         let eps = if last_wall_ns > 0 {
             last_events as f64 * 1e9 / last_wall_ns as f64
         } else {
@@ -301,13 +283,13 @@ impl State {
             self.accepted.load(Ordering::SeqCst),
             self.rejected.load(Ordering::SeqCst),
             self.deduped.load(Ordering::SeqCst),
-            self.cache_hits.load(Ordering::SeqCst),
-            self.in_flight.load(Ordering::SeqCst),
-            self.completed.load(Ordering::SeqCst),
+            value("sweep/cache_hits"),
+            self.in_flight(),
+            value("sweep/simulated"),
             last_events,
             last_wall_ns,
             eps,
-            self.sweeper.metrics().live_report().to_json(),
+            sweep.to_json(),
         )
     }
 
@@ -323,10 +305,7 @@ impl State {
 }
 
 fn err_body(msg: &str) -> String {
-    format!(
-        "{{\"error\":\"{}\"}}",
-        msg.replace('\\', "\\\\").replace('"', "\\\"")
-    )
+    format!("{{\"error\":{}}}", json_string(msg))
 }
 
 /// A bound, not-yet-running server.
@@ -339,8 +318,12 @@ pub struct Server {
 
 impl Server {
     /// Binds 127.0.0.1:`port` and builds the shared state. The engine's
-    /// pool threads start lazily on the first submit.
+    /// pool threads start lazily on the first submit. On glibc this
+    /// also caps the process's malloc arenas at `jobs` (see
+    /// `cap_malloc_arenas`).
     pub fn bind(cfg: &ServerConfig) -> io::Result<Server> {
+        #[cfg(all(target_os = "linux", target_env = "gnu"))]
+        cap_malloc_arenas(cfg.jobs);
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
         let addr = listener.local_addr()?;
         Ok(Server {
@@ -418,50 +401,21 @@ impl Server {
     }
 }
 
-/// Serves one connection: keep-alive HTTP requests, or one
-/// line-protocol command.
-fn handle_connection(stream: TcpStream, state: &Arc<State>) -> io::Result<()> {
+/// Serves one connection: HTTP requests until the client or the server
+/// asks to close it.
+fn handle_connection(stream: TcpStream, state: &State) -> io::Result<()> {
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
     let mut reader = io::BufReader::new(stream.try_clone()?);
     let mut stream = stream;
     while let Some(req) = http::read_request(&mut reader)? {
-        match req {
-            Request::Http {
-                method,
-                path,
-                body,
-                keep_alive,
-            } => {
-                let (status, body) = state.dispatch(&method, &path, &body);
-                let keep = keep_alive && !state.shutting_down();
-                http::write_response(&mut stream, status, &body, keep)?;
-                if !keep {
-                    break;
-                }
-            }
-            Request::Line { cmd, rest } => {
-                let (method, path, body) = match cmd.as_str() {
-                    "run" => ("POST", "/run".to_string(), rest),
-                    "job" => ("GET", format!("/job/{rest}"), String::new()),
-                    "metrics" => ("GET", "/metrics".to_string(), String::new()),
-                    "healthz" => ("GET", "/healthz".to_string(), String::new()),
-                    "shutdown" => ("POST", "/shutdown".to_string(), String::new()),
-                    other => {
-                        http::write_line(
-                            &mut stream,
-                            &err_body(&format!("unknown command {other:?}")),
-                        )?;
-                        return Ok(());
-                    }
-                };
-                let (_status, body) = state.dispatch(method, &path, &body);
-                http::write_line(&mut stream, &body)?;
-                // Line protocol is one command per connection.
-                return Ok(());
-            }
+        let (status, body) = state.dispatch(&req.method, &req.path, &req.body);
+        let keep = req.keep_alive && !state.shutting_down();
+        http::write_response(&mut stream, status, &body, keep)?;
+        if !keep {
+            break;
         }
     }
-    stream.flush()
+    Ok(())
 }
 
 #[cfg(unix)]
@@ -470,6 +424,27 @@ static SIGINT_FLAG: AtomicBool = AtomicBool::new(false);
 #[cfg(unix)]
 fn sigint_seen() -> bool {
     SIGINT_FLAG.load(Ordering::SeqCst)
+}
+
+/// Caps glibc's malloc arenas at the pool's worker count. Every server
+/// starts fresh pool and HTTP threads, and glibc hands each new thread
+/// an arena of its own, up to eight per core. So a process that runs
+/// server after server (the tests, perfbench's `serve-mixed`) leaves
+/// freed simulation buffers in more and more arenas, and its peak RSS
+/// grows with every server. With one arena per simulation worker that
+/// memory is reused instead.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn cap_malloc_arenas(jobs: usize) {
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    const M_ARENA_MAX: i32 = -8;
+    let arenas = i32::try_from(jobs.max(1)).unwrap_or(i32::MAX);
+    // SAFETY: `mallopt` only sets an allocator parameter, under
+    // glibc's own lock; it reads no memory of ours.
+    unsafe {
+        mallopt(M_ARENA_MAX, arenas);
+    }
 }
 
 /// Registers a SIGINT handler that only sets a flag (the async-signal-
@@ -506,21 +481,36 @@ mod tests {
         })
     }
 
+    /// Waits until every submitted point has finished.
+    fn wait_idle(state: &State) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(120);
+        while state.in_flight() > 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "points never finished"
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+    }
+
     #[test]
     fn dedup_attaches_to_a_preinserted_inflight_cell() {
-        // Deterministic dedup check, no timing: pre-insert the cell an
+        // Deterministic dedup check, no timing: pre-insert the ticket an
         // "earlier request" would own, then submit the same point.
         let state = test_state(8, 8);
         let req = RunRequest::parse("{\"app\":\"ll\",\"design\":\"C\"}").unwrap();
         let key = req.points()[0].key();
-        let cell = Arc::new(PointCell::default());
-        state.inflight.lock().unwrap().insert(key, cell.clone());
-        state.in_flight.fetch_add(1, Ordering::SeqCst);
+        state
+            .inflight
+            .lock()
+            .unwrap()
+            .insert(key, PointTicket::default());
 
         let (status, body) = state.dispatch("POST", "/run", "{\"app\":\"ll\",\"design\":\"C\"}");
         assert_eq!(status, 200);
         assert!(body.contains("\"status\":\"queued\""), "{body}");
         assert_eq!(state.deduped.load(Ordering::SeqCst), 1);
+        assert_eq!(state.in_flight(), 1, "one unique point, however many jobs");
         assert_eq!(
             state
                 .sweeper
@@ -529,15 +519,6 @@ mod tests {
                 .final_value("sweep/simulated"),
             None,
             "nothing was ever submitted to the pool"
-        );
-
-        // Filling the shared cell completes the attached job.
-        cell.fill("{\"fake\":true}".to_string());
-        let (status, body) = state.dispatch("GET", "/job/1", "");
-        assert_eq!(status, 200);
-        assert_eq!(
-            body,
-            "{\"id\":1,\"status\":\"done\",\"points\":1,\"results\":[{\"fake\":true}]}"
         );
     }
 
@@ -554,11 +535,25 @@ mod tests {
             .inflight
             .lock()
             .unwrap()
-            .insert(other.key(), Arc::new(PointCell::default()));
+            .insert(other.key(), PointTicket::default());
         let (status, body) = state.dispatch("POST", "/run", "{\"app\":\"ll\"}");
         assert_eq!(status, 429, "{body}");
         assert_eq!(state.rejected.load(Ordering::SeqCst), 1);
         assert_eq!(state.accepted.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_panicking_point_fails_its_job_and_leaves_nothing_in_flight() {
+        let state = test_state(8, 8);
+        let cfg = ndpb_core::config::SystemConfig::table1();
+        let bad = SweepPoint::new("nope", Column::Ndp(DesignPoint::C), cfg, Scale::Tiny);
+        assert_eq!(state.admit(vec![bad]).0, 200);
+        // A drain waits on the in-flight count; it must not stick at
+        // the failure.
+        wait_idle(&state);
+        let (_, doc) = state.dispatch("GET", "/job/1", "");
+        assert!(doc.contains("\"status\":\"failed\""), "{doc}");
+        assert!(doc.contains("unknown application"), "{doc}");
     }
 
     #[test]
@@ -622,16 +617,8 @@ mod tests {
         let state = test_state(8, 8);
         let (status, _) = state.dispatch("POST", "/run", "{\"app\":\"ll\",\"design\":\"C\"}");
         assert_eq!(status, 200);
-        // The waiter thread fills the snapshot when the pool finishes.
-        let deadline = std::time::Instant::now() + Duration::from_secs(120);
-        while state.completed.load(Ordering::SeqCst) == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "run never completed; metrics: {}",
-                state.metrics_json()
-            );
-            thread::sleep(Duration::from_millis(10));
-        }
+        // The pool worker sets the gauges before it fills the ticket.
+        wait_idle(&state);
         let doc = state.metrics_json();
         let j = ndpb_bench::json::Json::parse(&doc).expect("valid JSON");
         let last = j.get("last_run").expect("last_run block");

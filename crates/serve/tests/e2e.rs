@@ -29,21 +29,42 @@ fn start(cfg: ServerConfig) -> (SocketAddr, Arc<State>, JoinHandle<()>) {
     (addr, state, handle)
 }
 
-/// Minimal HTTP client: one request per call, `Connection: close`.
+/// Minimal HTTP client: one request per connection.
 fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    call(
+        &mut connect(addr),
+        method,
+        path,
+        body,
+        "Connection: close\r\n",
+    )
+}
+
+fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
+    let stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(120)))
         .unwrap();
+    BufReader::new(stream)
+}
+
+/// Sends one request on `conn` and reads its response: `(status, body)`,
+/// the body sized by its `Content-Length`.
+fn call(
+    conn: &mut BufReader<TcpStream>,
+    method: &str,
+    path: &str,
+    body: &str,
+    headers: &str,
+) -> (u16, String) {
     write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+        conn.get_mut(),
+        "{method} {path} HTTP/1.1\r\nHost: x\r\n{headers}Content-Length: {}\r\n\r\n{body}",
         body.len()
     )
     .expect("send request");
-    let mut reader = BufReader::new(stream);
     let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
+    conn.read_line(&mut status_line).expect("status line");
     let status: u16 = status_line
         .split_whitespace()
         .nth(1)
@@ -52,7 +73,7 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String)
     let mut content_length = 0usize;
     loop {
         let mut h = String::new();
-        reader.read_line(&mut h).expect("header");
+        conn.read_line(&mut h).expect("header");
         let h = h.trim_end();
         if h.is_empty() {
             break;
@@ -62,7 +83,7 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String)
         }
     }
     let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body");
+    conn.read_exact(&mut body).expect("body");
     (status, String::from_utf8(body).expect("utf-8 body"))
 }
 
@@ -118,7 +139,7 @@ fn duplicate_requests_dedup_cache_and_restart_roundtrip() {
         jobs: 2,
         ..ServerConfig::default()
     };
-    let (addr, _state, handle) = start(cfg.clone());
+    let (addr, state, handle) = start(cfg.clone());
 
     // Same request twice, concurrently, against a cold cache.
     let submit = |addr: SocketAddr| {
@@ -155,28 +176,16 @@ fn duplicate_requests_dedup_cache_and_restart_roundtrip() {
     assert_eq!(server.u64_field("in_flight"), Some(0));
     let overlapped = server.u64_field("deduped").unwrap() + server.u64_field("cache_hits").unwrap();
     assert_eq!(overlapped, 1, "second request must not simulate: {body}");
-    let sweep = j.get("sweep").expect("sweep block");
-    let names: Vec<&str> = sweep
-        .get("metrics")
-        .and_then(Json::as_arr)
-        .unwrap()
-        .iter()
-        .filter_map(Json::as_str)
-        .collect();
-    let values = j
-        .get("sweep")
-        .and_then(|s| s.get("snapshots"))
-        .and_then(Json::as_arr)
-        .and_then(|a| a.last())
-        .and_then(|s| s.get("values"))
-        .and_then(Json::as_arr)
-        .unwrap();
-    let simulated = names
-        .iter()
-        .position(|&n| n == "sweep/simulated")
-        .and_then(|i| values[i].as_u64())
-        .expect("sweep/simulated in live report");
-    assert_eq!(simulated, 1, "exactly one pool execution");
+    assert_eq!(server.u64_field("completed"), Some(1), "{body}");
+    assert_eq!(
+        state
+            .sweeper()
+            .metrics()
+            .live_report()
+            .final_value("sweep/simulated"),
+        Some(1),
+        "exactly one pool execution"
+    );
 
     // Healthz is well-formed.
     let (status, body) = http(addr, "GET", "/healthz", "");
@@ -211,21 +220,25 @@ fn duplicate_requests_dedup_cache_and_restart_roundtrip() {
 }
 
 #[test]
-fn line_protocol_answers_one_command_per_connection() {
+fn one_keep_alive_connection_serves_several_requests() {
     let (addr, _state, handle) = start(ServerConfig {
         cache_dir: None,
         jobs: 1,
         ..ServerConfig::default()
     });
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(b"healthz\n").unwrap();
-    let mut line = String::new();
-    BufReader::new(&stream).read_line(&mut line).unwrap();
-    let j = Json::parse(line.trim()).expect("line response is JSON");
-    assert_eq!(j.get("ok").and_then(|v| v.as_bool()), Some(true));
+    let mut conn = connect(addr);
+    let (status, body) = call(&mut conn, "GET", "/healthz", "", "");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"ok\":true"), "{body}");
+    let (status, body) = call(&mut conn, "POST", "/run", BODY, "");
+    assert_eq!(status, 200, "{body}");
+    let id = job_id(&body);
+    let (status, body) = call(&mut conn, "GET", &format!("/job/{id}"), "", "");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(job_id(&body), id, "{body}");
+    // Close the connection, so its worker need not wait out the read
+    // timeout before the server can drain.
+    drop(conn);
     shutdown_and_join(addr, handle);
 }
 

@@ -10,8 +10,8 @@
 //!   bridge GATHER/SCATTER/STATE-GATHER/SCHEDULE rounds, mailbox
 //!   enqueue/full, task execution, migrations, epoch barriers), each
 //!   stamped with a [`SimTime`](ndpb_sim::SimTime) and a [`ComponentId`].
-//! * [`sink`] — the [`TraceSink`] trait with a bounded [`RingRecorder`]
-//!   and a [`NullSink`]. Hot paths take `Option<&mut dyn TraceSink>`, so
+//! * [`sink`] — the [`TraceSink`] trait with a bounded
+//!   [`RingRecorder`]. Hot paths take `Option<&mut dyn TraceSink>`, so
 //!   a disabled trace costs exactly one branch per hook.
 //! * [`chrome`] — a hand-rolled (serde-free) Chrome `trace_event` JSON
 //!   writer; the output opens directly in `chrome://tracing` or
@@ -34,4 +34,4 @@ pub mod sink;
 pub use chrome::{chrome_trace_string, write_chrome_trace};
 pub use event::{ComponentId, TraceEvent, TraceRecord};
 pub use metrics::{MetricId, MetricsRegistry, MetricsReport, MetricsSnapshot, SharedMetrics};
-pub use sink::{NullSink, RingRecorder, TraceSink};
+pub use sink::{RingRecorder, TraceSink};

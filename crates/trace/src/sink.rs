@@ -17,13 +17,6 @@ use std::collections::VecDeque;
 /// threads. Sinks are still driven by exactly one simulation at a time,
 /// so `Sync` is not required.
 pub trait TraceSink: Send {
-    /// Whether this sink actually stores anything. Callers holding a
-    /// sink by `&mut dyn` may skip building expensive payloads when this
-    /// returns `false`.
-    fn enabled(&self) -> bool {
-        true
-    }
-
     /// Deposit one record.
     fn record(&mut self, rec: TraceRecord);
 
@@ -33,23 +26,6 @@ pub trait TraceSink: Send {
     /// How many records were offered but not kept (bounded sinks).
     fn dropped(&self) -> u64 {
         0
-    }
-}
-
-/// A sink that discards everything. Exists so APIs that *require* a sink
-/// can still run untraced.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _rec: TraceRecord) {}
-
-    fn take_records(&mut self) -> Vec<TraceRecord> {
-        Vec::new()
     }
 }
 
@@ -123,18 +99,8 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_is_disabled_and_empty() {
-        let mut s = NullSink;
-        assert!(!s.enabled());
-        s.record(rec(1));
-        assert!(s.take_records().is_empty());
-        assert_eq!(s.dropped(), 0);
-    }
-
-    #[test]
     fn ring_keeps_most_recent_and_counts_drops() {
         let mut r = RingRecorder::new(3);
-        assert!(r.enabled());
         for t in 0..10 {
             r.record(rec(t));
         }
