@@ -29,6 +29,13 @@ echo "== golden + determinism + invariant suites (incl. Small tier) =="
 # to keep the tier-1 `cargo test` lane fast).
 cargo test --release -q --test golden_runs --test determinism --test invariants
 
+echo "== Full-scale digest pin: design O x 8 apps at Table I =="
+# The goldens above are 2-rank runs, so nothing else pins the paper's
+# geometry. This #[ignore]d test hashes RunResult::to_json for design O
+# on every app at Scale::Full and compares against
+# tests/golden/full_o_digests.txt (about 10 s on 2 workers).
+cargo test --release -q --test golden_runs -- --ignored
+
 echo "== repro fig10 smoke: --jobs determinism and warm cache =="
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT

@@ -50,15 +50,7 @@ pub struct BridgeStats {
     pub lb_rounds: Counter,
     /// SCHEDULE commands sent to givers.
     pub schedules: Counter,
-    /// Messages pushed to the backup buffer.
-    pub backups: Counter,
-    /// Gather pauses because the backup buffer filled.
-    pub gather_pauses: Counter,
 }
-
-/// On buffer exhaustion the bridge hands the message back to the
-/// caller, which must pause gathering and re-park it (Section V-A).
-pub type BridgeFull = Message;
 
 /// A level-1 (rank) bridge.
 #[derive(Debug)]
@@ -143,8 +135,8 @@ impl RankBridge {
     /// # Errors
     ///
     /// Returns the message back when the backup buffer is also full; the
-    /// caller must pause gathering and re-park it.
-    pub fn enqueue_scatter(&mut self, idx: usize, msg: Message) -> Result<(), BridgeFull> {
+    /// caller must pause gathering and re-park it (Section V-A).
+    pub fn enqueue_scatter(&mut self, idx: usize, msg: Message) -> Result<(), Message> {
         let sz = msg.wire_bytes() as u64;
         // New messages may not overtake spilled ones: once anything sits
         // in the backup buffer, later arrivals queue behind it, otherwise
@@ -163,10 +155,8 @@ impl RankBridge {
         if self.backup_bytes + sz <= self.backup_cap {
             self.backup_bytes += sz;
             self.backup.push_back((idx, msg));
-            self.stats.backups.inc();
             return Ok(());
         }
-        self.stats.gather_pauses.inc();
         Err(msg)
     }
 
@@ -187,16 +177,9 @@ impl RankBridge {
         }
     }
 
-    /// Drains up to `budget` bytes of messages destined for child `idx`.
-    pub fn drain_scatter(&mut self, idx: usize, budget: u32) -> Vec<Message> {
-        let mut out = Vec::new();
-        self.drain_scatter_into(idx, budget, &mut out);
-        out
-    }
-
-    /// Like [`drain_scatter`](Self::drain_scatter), but appends into a
-    /// caller-provided buffer so the scatter hot path can recycle one
-    /// allocation across rounds.
+    /// Drains up to `budget` bytes of messages destined for child `idx`,
+    /// appending them to `out` (a buffer the scatter hot path recycles
+    /// across rounds).
     pub fn drain_scatter_into(&mut self, idx: usize, budget: u32, out: &mut Vec<Message>) {
         let mut drained = 0u32;
         while let Some(front) = self.scatter[idx].front() {
@@ -241,11 +224,6 @@ impl RankBridge {
             .chain(self.backup.iter().map(|(_, m)| m))
     }
 
-    /// Number of messages buffered in scatter + backup.
-    pub fn buffered_msg_count(&self) -> usize {
-        self.scatter.iter().map(VecDeque::len).sum::<usize>() + self.backup.len()
-    }
-
     /// Children whose queue (plus in-flight correction when enabled)
     /// falls below `threshold` — the load-balancing receivers.
     pub fn idle_children(&self, threshold: u64, correction: bool) -> Vec<usize> {
@@ -287,6 +265,8 @@ impl RankBridge {
 #[derive(Debug)]
 pub struct HostBridge {
     scatter: Vec<VecDeque<Message>>,
+    /// Running wire bytes of each rank's scatter queue.
+    scatter_bytes: Vec<u64>,
     /// Block → rank where the block currently lives (for blocks lent
     /// across ranks).
     pub data_borrowed: LruTable<BlockAddr, RankId>,
@@ -313,6 +293,7 @@ impl HostBridge {
     pub fn new(ranks: usize, cfg: &SystemConfig, rng: SimRng) -> Self {
         HostBridge {
             scatter: vec![VecDeque::new(); ranks],
+            scatter_bytes: vec![0; ranks],
             data_borrowed: LruTable::new(cfg.bridge_borrowed_entries),
             rank_queue_workload: vec![0; ranks],
             rank_mailbox_bytes: vec![0; ranks],
@@ -328,26 +309,20 @@ impl HostBridge {
     /// Queues a message for delivery down to `rank` (unbounded: host
     /// memory).
     pub fn enqueue_scatter(&mut self, rank: usize, msg: Message) {
+        self.scatter_bytes[rank] += msg.wire_bytes() as u64;
         self.scatter[rank].push_back(msg);
     }
 
-    /// Drains every message pending for `rank`.
-    pub fn drain_scatter(&mut self, rank: usize) -> Vec<Message> {
-        self.scatter[rank].drain(..).collect()
-    }
-
-    /// Like [`drain_scatter`](Self::drain_scatter), but appends into a
-    /// caller-provided buffer (recycled by the host-round hot path).
+    /// Drains every message pending for `rank`, appending them to `out`
+    /// (a buffer the host-round hot path recycles).
     pub fn drain_scatter_into(&mut self, rank: usize, out: &mut Vec<Message>) {
+        self.scatter_bytes[rank] = 0;
         out.extend(self.scatter[rank].drain(..));
     }
 
     /// Bytes pending for `rank`.
     pub fn scatter_pending(&self, rank: usize) -> u64 {
-        self.scatter[rank]
-            .iter()
-            .map(|m| m.wire_bytes() as u64)
-            .sum()
+        self.scatter_bytes[rank]
     }
 
     /// Whether anything is queued for any rank.
@@ -358,11 +333,6 @@ impl HostBridge {
     /// Iterates over every message queued for any rank (auditing).
     pub fn buffered_messages(&self) -> impl Iterator<Item = &Message> {
         self.scatter.iter().flatten()
-    }
-
-    /// Number of messages queued across all ranks.
-    pub fn buffered_msg_count(&self) -> usize {
-        self.scatter.iter().map(VecDeque::len).sum()
     }
 }
 
@@ -395,14 +365,12 @@ mod tests {
         let mut b = RankBridge::new(RankId(0), 2, &c, SimRng::new(1));
         b.enqueue_scatter(0, msg()).unwrap();
         b.enqueue_scatter(0, msg()).unwrap(); // spills (20+20 > 32)
-        assert_eq!(b.stats.backups.get(), 1);
-        assert!(b.backup_pending() > 0);
+        assert_eq!(b.backup_pending(), msg().wire_bytes() as u64);
         // Backup (32 B) already holds 20 B; another 20 B message cannot
         // fit anywhere: the bridge pauses gathering and returns the
         // message to the caller.
         let r = b.enqueue_scatter(0, msg());
         assert_eq!(r, Err(msg()));
-        assert_eq!(b.stats.gather_pauses.get(), 1);
     }
 
     #[test]
@@ -412,7 +380,8 @@ mod tests {
         let mut b = RankBridge::new(RankId(0), 1, &c, SimRng::new(1));
         b.enqueue_scatter(0, msg()).unwrap();
         b.enqueue_scatter(0, msg()).unwrap(); // backup
-        let drained = b.drain_scatter(0, 1024);
+        let mut drained = Vec::new();
+        b.drain_scatter_into(0, 1024, &mut drained);
         assert_eq!(drained.len(), 1);
         b.refill_from_backup();
         assert_eq!(b.backup_pending(), 0);
@@ -427,9 +396,12 @@ mod tests {
             b.enqueue_scatter(3, msg()).unwrap();
         }
         let one = msg().wire_bytes();
-        let got = b.drain_scatter(3, 2 * one);
+        let mut got = Vec::new();
+        b.drain_scatter_into(3, 2 * one, &mut got);
         assert_eq!(got.len(), 2);
-        assert_eq!(b.drain_scatter(3, u32::MAX).len(), 3);
+        got.clear();
+        b.drain_scatter_into(3, u32::MAX, &mut got);
+        assert_eq!(got.len(), 3);
         assert_eq!(b.scatter_pending(3), 0);
     }
 
@@ -468,8 +440,46 @@ mod tests {
         h.enqueue_scatter(5, msg());
         assert!(h.has_pending());
         assert!(h.scatter_pending(5) > 0);
-        assert_eq!(h.drain_scatter(5).len(), 1);
+        let mut got = Vec::new();
+        h.drain_scatter_into(5, &mut got);
+        assert_eq!(got.len(), 1);
         assert!(!h.has_pending());
+    }
+
+    #[test]
+    fn host_scatter_pending_tracks_queued_wire_bytes() {
+        // The running byte count must equal the sum over the queue under
+        // any interleaving of enqueues and whole-rank drains.
+        let c = cfg();
+        let mut h = HostBridge::new(4, &c, SimRng::new(3));
+        let mut rng = SimRng::new(0x5CA7);
+        let mut out = Vec::new();
+        for _ in 0..2_000 {
+            let r = rng.next_below(4) as usize;
+            if rng.chance(0.8) {
+                let t = Task::new(TaskFnId(0), Timestamp(0), DataAddr(0), 1, TaskArgs::EMPTY);
+                let m = if rng.chance(0.5) {
+                    Message::Task(t, None)
+                } else {
+                    Message::Data(
+                        ndpb_proto::message::DataMessage {
+                            block: BlockAddr(rng.next_below(64)),
+                            bytes: 1 + rng.next_below(4096) as u32,
+                            workload: 0,
+                        },
+                        None,
+                    )
+                };
+                h.enqueue_scatter(r, m);
+            } else {
+                out.clear();
+                h.drain_scatter_into(r, &mut out);
+            }
+            for r in 0..4 {
+                let sum: u64 = h.scatter[r].iter().map(|m| m.wire_bytes() as u64).sum();
+                assert_eq!(h.scatter_pending(r), sum, "rank {r}");
+            }
+        }
     }
 
     #[test]
@@ -479,7 +489,7 @@ mod tests {
         assert!(!b.has_pending_output());
         b.enqueue_scatter(0, msg()).unwrap();
         assert!(b.has_pending_output());
-        b.drain_scatter(0, u32::MAX);
+        b.drain_scatter_into(0, u32::MAX, &mut Vec::new());
         assert!(!b.has_pending_output());
         b.up_mailbox.push(msg()).unwrap();
         assert!(b.has_pending_output());

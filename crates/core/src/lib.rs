@@ -24,7 +24,6 @@ pub mod bridge;
 pub mod config;
 pub mod design;
 pub mod epoch;
-pub mod fasthash;
 pub mod hostonly;
 pub mod metadata;
 pub mod pool;
@@ -32,6 +31,9 @@ pub mod result;
 pub mod steal;
 pub mod system;
 pub mod unit;
+
+/// The simulator's fixed-seed hasher, shared with the sketch crate.
+pub use ndpb_sim::fasthash;
 
 pub use audit::{AuditLevel, Violation};
 pub use config::{SystemConfig, TriggerPolicy};

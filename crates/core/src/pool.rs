@@ -1,4 +1,5 @@
-//! A tiny free-list pool for hot-path `Vec` buffers.
+//! Free-list pools for the event loop: [`BufPool`] for hot-path `Vec`
+//! buffers and [`Slab`] for values parked behind event handles.
 //!
 //! The event loop constantly needs short-lived vectors — spawned-task
 //! lists riding `TaskDone` events, per-round message scratch in bridge
@@ -75,6 +76,53 @@ impl<T> BufPool<T> {
     }
 }
 
+/// Values parked behind `u32` handles, with freed slots reused LIFO.
+///
+/// Events carry a handle instead of the value itself, so the event
+/// queue moves a few bytes per event; the slab grows only to the peak
+/// number of values parked at once.
+#[derive(Debug)]
+pub(crate) struct Slab<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Slab<T> {
+    /// Creates an empty slab.
+    pub fn new() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Parks `value` and returns its handle.
+    #[inline]
+    pub fn insert(&mut self, value: T) -> u32 {
+        if let Some(h) = self.free.pop() {
+            self.slots[h as usize] = Some(value);
+            return h;
+        }
+        let h = u32::try_from(self.slots.len()).expect("slab handle space exhausted");
+        self.slots.push(Some(value));
+        h
+    }
+
+    /// Removes and returns the value behind `handle`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle is not live (taken twice or never issued).
+    #[inline]
+    pub fn take(&mut self, handle: u32) -> T {
+        let v = self.slots[handle as usize]
+            .take()
+            .expect("slab handle is not live");
+        self.free.push(handle);
+        v
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,6 +153,27 @@ mod tests {
         p.put(b);
         assert_eq!(p.get().capacity(), cb);
         assert_eq!(p.get().capacity(), ca);
+    }
+
+    #[test]
+    fn slab_reuses_freed_handles() {
+        let mut s: Slab<&str> = Slab::new();
+        let a = s.insert("a");
+        let b = s.insert("b");
+        assert_eq!(s.take(a), "a");
+        let c = s.insert("c");
+        assert_eq!(c, a, "the freed slot is reused");
+        assert_eq!((s.take(b), s.take(c)), ("b", "c"));
+        assert_eq!(s.slots.len(), 2, "grows only to the peak parked count");
+    }
+
+    #[test]
+    #[should_panic(expected = "not live")]
+    fn slab_handle_taken_twice_panics() {
+        let mut s = Slab::new();
+        let h = s.insert(1u8);
+        s.take(h);
+        s.take(h);
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::bridge::{HostBridge, RankBridge};
 use crate::config::{w_threshold, SystemConfig, TriggerPolicy};
 use crate::design::{CommPath, DesignPoint, LbPolicy};
 use crate::epoch::EpochTracker;
+use crate::pool::Slab;
 use crate::result::{ProfileStats, RunResult};
 use crate::steal;
 use crate::unit::{NdpUnit, ScheduledBlock};
@@ -38,14 +39,19 @@ const BORROW_ROW: u64 = (1 << 21) + 2;
 /// anything a legitimate run needs.
 const MAX_EVENTS: u64 = 2_000_000_000;
 
+/// A queued event. Events carry handles, not payloads: a finished
+/// task waits in its unit's in-flight slot and a message in transit in
+/// [`System::msgs`], so the queue moves a few bytes per event instead of
+/// a task, its spawn list or a message.
 #[derive(Debug)]
 enum Ev {
     /// Wake a unit's core to execute the next task.
     CoreWake(u32),
-    /// A task finished executing at a unit; deliver its children.
-    TaskDone(u32, Task, Vec<Task>),
-    /// A message arrives at a unit.
-    Deliver(u32, Message),
+    /// The task in a unit's in-flight slot finished; deliver its
+    /// children.
+    TaskDone(u32),
+    /// A message (slab handle) arrives at a unit.
+    Deliver(u32, u32),
     /// Periodic STATE-GATHER + load-balancing pass at a rank bridge.
     RankState(u32),
     /// A gather/scatter round at a rank bridge.
@@ -57,9 +63,14 @@ enum Ev {
     /// A DIMM-Link round: drain one rank bridge's upward mailbox over
     /// its peer-to-peer link (bypassing the host).
     LinkRound(u32),
-    /// A message arriving at a rank bridge over a DIMM-Link.
-    LinkDeliver(u32, Message),
+    /// A message (slab handle) arriving at a rank bridge over a
+    /// DIMM-Link.
+    LinkDeliver(u32, u32),
 }
+
+// Handle-sized events keep the timer wheel's nodes small; a payload
+// creeping back into `Ev` fails the build.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 16);
 
 /// The simulated NDP system.
 pub struct System {
@@ -100,6 +111,9 @@ pub struct System {
     /// it, consume it, and hand it back — so the steady-state event loop
     /// does no per-batch heap allocation.
     msg_scratch: Vec<Message>,
+    /// Messages riding `Deliver`/`LinkDeliver` events, parked behind
+    /// the events' slab handles.
+    msgs: Slab<Message>,
     /// Recycled per-destination grouping table for the direct (C/R)
     /// scatter path; inner `Vec`s cycle through [`Self::vec_pool`].
     per_unit_scratch: Vec<(usize, Vec<Message>)>,
@@ -108,7 +122,7 @@ pub struct System {
     /// Persistent execution context: task reads/writes/spawns land in
     /// recycled buffers instead of three fresh `Vec`s per task.
     exec_ctx: ExecCtx,
-    /// Free list of spawn `Vec`s cycling between [`Ev::TaskDone`] events
+    /// Free list of spawn `Vec`s cycling between units' in-flight slots
     /// and [`Self::exec_ctx`].
     spawn_pool: crate::pool::BufPool<Task>,
     /// Event-loop phase profile, armed by [`System::set_profile`] and
@@ -426,6 +440,7 @@ impl System {
             audit,
             cfg,
             msg_scratch: Vec::new(),
+            msgs: Slab::new(),
             per_unit_scratch: Vec::new(),
             vec_pool: crate::pool::BufPool::new(),
             exec_ctx: ExecCtx::new(ndpb_dram::UnitId(0)),
@@ -453,7 +468,8 @@ impl System {
         if self.audit.enabled {
             self.audit.note_scheduled(&msg);
         }
-        self.q.schedule(at, Ev::Deliver(u as u32, msg));
+        let m = self.msgs.insert(msg);
+        self.q.schedule(at, Ev::Deliver(u as u32, m));
     }
 
     /// Schedules a DIMM-Link delivery to rank `r` (see
@@ -462,7 +478,8 @@ impl System {
         if self.audit.enabled {
             self.audit.note_scheduled(&msg);
         }
-        self.q.schedule(at, Ev::LinkDeliver(r as u32, msg));
+        let m = self.msgs.insert(msg);
+        self.q.schedule(at, Ev::LinkDeliver(r as u32, m));
     }
 
     /// Attaches a trace sink; events recorded during [`run`](Self::run)
@@ -491,14 +508,20 @@ impl System {
     fn dispatch(&mut self, ev: Ev) {
         match ev {
             Ev::CoreWake(u) => self.on_core_wake(u as usize),
-            Ev::TaskDone(u, task, children) => self.on_task_done(u as usize, task, children),
-            Ev::Deliver(u, msg) => self.on_deliver(u as usize, msg),
+            Ev::TaskDone(u) => self.on_task_done(u as usize),
+            Ev::Deliver(u, m) => {
+                let msg = self.msgs.take(m);
+                self.on_deliver(u as usize, msg);
+            }
             Ev::RankState(r) => self.on_rank_state(r as usize),
             Ev::RankRound(r) => self.on_rank_round(r as usize),
             Ev::HostState => self.on_host_state(),
             Ev::HostRound => self.on_host_round(),
             Ev::LinkRound(r) => self.on_link_round(r as usize),
-            Ev::LinkDeliver(r, msg) => self.on_link_deliver(r as usize, msg),
+            Ev::LinkDeliver(r, m) => {
+                let msg = self.msgs.take(m);
+                self.on_link_deliver(r as usize, msg);
+            }
         }
     }
 
@@ -698,11 +721,20 @@ impl System {
         for c in &children {
             self.epochs.spawned(c.ts);
         }
-        self.q.schedule(t, Ev::TaskDone(u as u32, task, children));
+        // One task executes per core at a time: a wake before `t` finds
+        // the core busy and re-arms at `core_free_at`, and a wake at `t`
+        // was scheduled after this `TaskDone`, so it pops after it.
+        let busy = self.units[u].in_flight.replace((task, children));
+        assert!(busy.is_none(), "unit {u} started a task with one in flight");
+        self.q.schedule(t, Ev::TaskDone(u as u32));
     }
 
-    fn on_task_done(&mut self, u: usize, task: Task, mut children: Vec<Task>) {
+    fn on_task_done(&mut self, u: usize) {
         let now = self.q.now();
+        let (task, mut children) = self.units[u]
+            .in_flight
+            .take()
+            .expect("TaskDone without an in-flight task");
         for child in children.drain(..) {
             self.route_spawn(u, child, now);
         }

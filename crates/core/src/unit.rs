@@ -91,6 +91,10 @@ pub struct NdpUnit {
     pub core_free_at: SimTime,
     /// Whether a core wake event is already scheduled.
     pub wake_scheduled: bool,
+    /// The executing task and the children it spawned, held from
+    /// execution start until its `TaskDone` event fires (at most one
+    /// per core).
+    pub(crate) in_flight: Option<(Task, Vec<Task>)>,
 
     task_queue: VecDeque<Task>,
     future: BTreeMap<u32, Vec<Task>>,
@@ -116,6 +120,7 @@ impl NdpUnit {
             stats: UnitStats::default(),
             core_free_at: SimTime::ZERO,
             wake_scheduled: false,
+            in_flight: None,
             task_queue: VecDeque::new(),
             future: BTreeMap::new(),
             pending_workload: 0,
@@ -155,17 +160,14 @@ impl NdpUnit {
             }
         }
         self.pending_workload += wl;
-        if hot_tracking && self.holds_block(block, map) {
-            self.sketch.record(block.0, wl, &mut self.rng);
-            if self.sketch.get(block.0).is_some() {
-                match self.reserved.reserve(block.0, task) {
-                    Ok(()) => return,
-                    Err(task) => {
-                        self.task_queue.push_back(task);
-                        return;
-                    }
-                }
+        if hot_tracking
+            && self.holds_block(block, map)
+            && self.sketch.record(block.0, wl, &mut self.rng)
+        {
+            if let Err(task) = self.reserved.reserve(block.0, task) {
+                self.task_queue.push_back(task);
             }
+            return;
         }
         self.task_queue.push_back(task);
     }

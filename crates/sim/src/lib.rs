@@ -14,6 +14,9 @@
 //!   pattern `O(1)`.
 //! * [`rng`] — a small, seedable SplitMix64/xoshiro RNG so simulations are
 //!   reproducible without depending on `rand` in the hot path.
+//! * [`fasthash`] — `FastMap`/`FastSet`, `HashMap`/`HashSet` over a
+//!   fixed-seed multiply-rotate hasher for the event loop's
+//!   integer-keyed maps.
 //! * [`fingerprint`] — a stable 64-bit FNV-1a hasher used to
 //!   content-address sweep results (std's `DefaultHasher` is not stable
 //!   across toolchains).
@@ -35,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod events;
+pub mod fasthash;
 pub mod fingerprint;
 pub mod rng;
 pub mod stats;

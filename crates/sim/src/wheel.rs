@@ -15,6 +15,14 @@
 //!   `(time, seq)` order. A two-level occupancy bitmap (summary words over
 //!   slot words) finds the next non-empty bucket with a handful of bit
 //!   operations instead of a scan.
+//! * **Arena-threaded buckets** — a bucket is only a `(head, tail)` pair
+//!   of `u32` node indices. Every near-tier event lives in one shared
+//!   node arena, linked into its bucket's FIFO list; popped nodes go on a
+//!   LIFO free list and are reused by the next insert. The arena grows
+//!   only when the free list is empty, so retained storage is bounded by
+//!   the peak number of near-tier events live at once, not by
+//!   slots × the largest burst any one slot ever saw (what per-slot
+//!   growable queues retain), and a recycled node is cache-warm.
 //! * **Far tier** — a sorted overflow heap for events at or beyond the
 //!   horizon (periodic `I_state` timers, congested bus grants). Overflow
 //!   entries are never migrated into the wheel during steady state;
@@ -40,7 +48,9 @@
 //!   them, re-bucketing pending near-tier events and pulling newly
 //!   capturable overflow entries into the wheel. Growth is bounded by
 //!   [`MAX_WHEEL_SLOTS`], so a stray far-future timer cannot balloon the
-//!   calendar.
+//!   calendar. At the paper's Table I geometry (512 units, full-scale
+//!   inputs) design O grows to 65,536–131,072 slots on the apps with
+//!   cross-rank traffic, so each slot must stay a few bytes.
 //!
 //! Re-tiering never reorders anything: pop order is defined purely by
 //! `(time, seq)`, independent of which tier an event happens to sit in,
@@ -56,7 +66,7 @@
 //! [`EventQueue::with_horizon`]: crate::EventQueue::with_horizon
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -66,9 +76,9 @@ use crate::time::SimTime;
 /// the window).
 ///
 /// 4096 ticks ≈ 1.7 µs covers every DRAM/bus latency and the Table I
-/// gather interval; only the coarse periodic timers (`I_state` = 12000
-/// ticks) and heavily congested bus grants overflow, and those are rare
-/// enough in the NDP designs that heap cost on them is noise.
+/// gather interval; the coarse periodic timers (`I_state` = 12000
+/// ticks) and congested bus grants overflow, and auto-tuning widens the
+/// window once they are frequent enough to matter.
 pub const WHEEL_SLOTS: usize = 4096;
 
 /// Upper bound on the auto-tuned horizon (2^17 ticks ≈ 55 µs). Bounds
@@ -81,6 +91,9 @@ pub const MAX_WHEEL_SLOTS: usize = 1 << 17;
 /// them are noise, while a persistent far-heavy schedule (millions of
 /// events) amortizes the one-off re-bucketing instantly.
 const GROW_TRIGGER: u64 = 2048;
+
+/// End-of-list marker for node links (never a valid arena index).
+const NIL: u32 = u32::MAX;
 
 /// A two-tier calendar queue ordering `(time, seq, event)` triples by
 /// `(time, seq)`.
@@ -99,7 +112,14 @@ pub struct TimerWheel<E> {
     /// Current near-tier width in ticks; always a power of two in
     /// `[64, MAX_WHEEL_SLOTS]`.
     slots: usize,
-    buckets: Vec<Bucket<E>>,
+    /// Per-slot `[head, tail]` node indices of the bucket's FIFO list
+    /// (both [`NIL`] when empty). All live nodes of a bucket share one
+    /// `at`, linked in insertion (= `seq`) order.
+    lists: Vec<[u32; 2]>,
+    /// Node arena backing every bucket list.
+    nodes: Vec<Node<E>>,
+    /// Head of the LIFO free list threaded through [`Node::next`].
+    free: u32,
     /// Bit `i % 64` of word `i / 64` set ⇔ bucket `i` is non-empty.
     words: Vec<u64>,
     /// Bit `w % 64` of summary word `w / 64` set ⇔ `words[w] != 0`.
@@ -116,10 +136,13 @@ pub struct TimerWheel<E> {
 }
 
 #[derive(Debug)]
-struct Bucket<E> {
-    /// `(at, seq, event)` in insertion (= `seq`) order; all live entries
-    /// share the same `at`.
-    items: VecDeque<(SimTime, u64, E)>,
+struct Node<E> {
+    at: SimTime,
+    seq: u64,
+    /// Next node of the same bucket, or of the free list.
+    next: u32,
+    /// `None` while the node sits on the free list.
+    event: Option<E>,
 }
 
 #[derive(Debug)]
@@ -156,8 +179,7 @@ impl<E> Default for TimerWheel<E> {
 
 impl<E> TimerWheel<E> {
     /// Creates an empty wheel with the default [`WHEEL_SLOTS`] horizon.
-    /// Buckets are lazily allocated: an untouched bucket is an empty
-    /// `VecDeque`, which holds no heap memory.
+    /// The node arena starts empty and grows with the live event count.
     pub fn new() -> Self {
         Self::with_horizon(WHEEL_SLOTS as u64)
     }
@@ -171,11 +193,9 @@ impl<E> TimerWheel<E> {
             .next_power_of_two() as usize;
         TimerWheel {
             slots,
-            buckets: (0..slots)
-                .map(|_| Bucket {
-                    items: VecDeque::new(),
-                })
-                .collect(),
+            lists: vec![[NIL; 2]; slots],
+            nodes: Vec::new(),
+            free: NIL,
             words: vec![0; slots / 64],
             summary: vec![0; (slots / 64).div_ceil(64)],
             wheel_len: 0,
@@ -219,13 +239,38 @@ impl<E> TimerWheel<E> {
     #[inline]
     fn insert_near(&mut self, at: SimTime, seq: u64, event: E) {
         let idx = (at.ticks() & self.slot_mask()) as usize;
-        let bucket = &mut self.buckets[idx];
-        // The live window is exactly one wheel revolution wide, so a
-        // live bucket holds a single tick.
-        debug_assert!(bucket.items.front().is_none_or(|&(t, _, _)| t == at));
-        bucket.items.push_back((at, seq, event));
-        self.words[idx >> 6] |= 1 << (idx & 63);
-        self.summary[idx >> 12] |= 1 << ((idx >> 6) & 63);
+        let node = Node {
+            at,
+            seq,
+            next: NIL,
+            event: Some(event),
+        };
+        let n = if self.free != NIL {
+            let n = self.free;
+            let slot = &mut self.nodes[n as usize];
+            self.free = slot.next;
+            *slot = node;
+            n
+        } else {
+            let n = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&n| n != NIL)
+                .expect("timer wheel node arena exhausted");
+            self.nodes.push(node);
+            n
+        };
+        let [head, tail] = &mut self.lists[idx];
+        if *tail == NIL {
+            *head = n;
+            self.words[idx >> 6] |= 1 << (idx & 63);
+            self.summary[idx >> 12] |= 1 << ((idx >> 6) & 63);
+        } else {
+            // The live window is exactly one wheel revolution wide, so a
+            // live bucket holds a single tick.
+            debug_assert_eq!(self.nodes[*tail as usize].at, at);
+            self.nodes[*tail as usize].next = n;
+        }
+        *tail = n;
         self.wheel_len += 1;
     }
 
@@ -269,32 +314,22 @@ impl<E> TimerWheel<E> {
         if new_slots <= self.slots {
             return;
         }
-        let old_slots = self.slots;
-        let mut old_buckets = std::mem::replace(
-            &mut self.buckets,
-            (0..new_slots)
-                .map(|_| Bucket {
-                    items: VecDeque::new(),
-                })
-                .collect(),
-        );
-        self.slots = new_slots;
-        self.words = vec![0; new_slots / 64];
-        self.summary = vec![0; (new_slots / 64).div_ceil(64)];
-        self.wheel_len = 0;
-        self.grows += 1;
-        // Collect everything that belongs in the widened window: the old
-        // near tier plus overflow entries now inside it (the heap front
-        // carries the minimum time, so the first non-capturable entry
-        // means the rest are non-capturable too). An overflow entry can
-        // share a tick with near-tier events while carrying a *smaller*
-        // seq — see `overflow_interleaves_with_wheel_by_seq` — so the
-        // merged set is sorted by (time, seq) before re-bucketing to
-        // keep FIFO-within-bucket equal to seq order.
-        let mut pending: Vec<(SimTime, u64, E)> = Vec::new();
-        for bucket in old_buckets.iter_mut().take(old_slots) {
-            pending.extend(bucket.items.drain(..));
-        }
+        // Collect everything that belongs in the widened window: every
+        // live arena node (free nodes carry no event) plus overflow
+        // entries now inside it (the heap front carries the minimum
+        // time, so the first non-capturable entry means the rest are
+        // non-capturable too). An overflow entry can share a tick with
+        // near-tier events while carrying a *smaller* seq — see
+        // `overflow_interleaves_with_wheel_by_seq` — so the merged set is
+        // sorted by (time, seq) before re-bucketing to keep
+        // FIFO-within-bucket equal to seq order. The arena keeps its
+        // capacity; clearing it empties the free list.
+        let mut pending: Vec<(SimTime, u64, E)> = self
+            .nodes
+            .drain(..)
+            .filter_map(|n| Some((n.at, n.seq, n.event?)))
+            .collect();
+        self.free = NIL;
         while let Some(o) = self.overflow.peek() {
             if o.at.ticks() - now.ticks() >= new_slots as u64 {
                 break;
@@ -302,9 +337,35 @@ impl<E> TimerWheel<E> {
             let o = self.overflow.pop().expect("peeked entry vanished");
             pending.push((o.at, o.seq, o.event));
         }
+        self.slots = new_slots;
+        self.lists = vec![[NIL; 2]; new_slots];
+        self.words = vec![0; new_slots / 64];
+        self.summary = vec![0; (new_slots / 64).div_ceil(64)];
+        self.wheel_len = 0;
+        self.grows += 1;
         pending.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
         for (at, seq, event) in pending {
             self.insert_near(at, seq, event);
+        }
+    }
+
+    /// Moves node `n` (already unlinked from its bucket) onto the free
+    /// list and returns its event.
+    #[inline]
+    fn release(&mut self, n: u32) -> E {
+        let node = &mut self.nodes[n as usize];
+        node.next = self.free;
+        self.free = n;
+        node.event.take().expect("live node without an event")
+    }
+
+    /// Marks bucket `idx` empty after its last node was popped.
+    #[inline]
+    fn clear_bucket(&mut self, idx: usize) {
+        self.lists[idx] = [NIL; 2];
+        self.words[idx >> 6] &= !(1 << (idx & 63));
+        if self.words[idx >> 6] == 0 {
+            self.summary[idx >> 12] &= !(1 << ((idx >> 6) & 63));
         }
     }
 
@@ -323,17 +384,17 @@ impl<E> TimerWheel<E> {
             let o = self.overflow.pop().expect("peeked entry vanished");
             return Some((o.at, o.seq, o.event));
         }
-        let (_, _, idx) = wheel_front.expect("non-overflow pop with empty wheel");
-        let bucket = &mut self.buckets[idx];
-        let entry = bucket.items.pop_front().expect("occupied bucket was empty");
+        let (at, seq, idx) = wheel_front.expect("non-overflow pop with empty wheel");
+        let n = self.lists[idx][0];
+        let next = self.nodes[n as usize].next;
+        let event = self.release(n);
         self.wheel_len -= 1;
-        if bucket.items.is_empty() {
-            self.words[idx >> 6] &= !(1 << (idx & 63));
-            if self.words[idx >> 6] == 0 {
-                self.summary[idx >> 12] &= !(1 << ((idx >> 6) & 63));
-            }
+        if next == NIL {
+            self.clear_bucket(idx);
+        } else {
+            self.lists[idx][0] = next;
         }
-        Some(entry)
+        Some((at, seq, event))
     }
 
     /// Timestamp of the next pending event, without removing it.
@@ -352,11 +413,11 @@ impl<E> TimerWheel<E> {
     /// overflow front — appending the events to `out` in pop order.
     ///
     /// A live bucket holds exactly one tick's events in seq order, so
-    /// the run is a `VecDeque` prefix: one occupancy-bitmap scan and one
-    /// overflow compare cover the whole batch, where a pop-at-a-time
-    /// loop re-pays both per event. When the overflow front is the
-    /// global minimum (rare — far-future timers), the run is that
-    /// single heap entry.
+    /// the run is a prefix of its list: one occupancy-bitmap scan and
+    /// one overflow compare cover the whole batch, where a
+    /// pop-at-a-time loop re-pays both per event. When the overflow
+    /// front is the global minimum (rare — far-future timers), the run
+    /// is that single heap entry.
     ///
     /// Returns the run's timestamp, or `None` if the wheel is empty.
     /// Pop order over repeated calls is byte-identical to single pops
@@ -385,26 +446,23 @@ impl<E> TimerWheel<E> {
             Some((ot, os)) if ot == at => os,
             _ => u64::MAX,
         };
-        let bucket = &mut self.buckets[idx];
+        let mut n = self.lists[idx][0];
         let mut popped = 0usize;
-        while let Some(&(_, seq, _)) = bucket.items.front() {
-            if seq >= cap_seq {
-                break;
-            }
-            let (_, _, ev) = bucket.items.pop_front().expect("front vanished");
-            out.push(ev);
+        while n != NIL && self.nodes[n as usize].seq < cap_seq {
+            let next = self.nodes[n as usize].next;
+            out.push(self.release(n));
             popped += 1;
+            n = next;
         }
         debug_assert!(
             popped > 0,
             "pop_run front key was not below the overflow front"
         );
         self.wheel_len -= popped;
-        if bucket.items.is_empty() {
-            self.words[idx >> 6] &= !(1 << (idx & 63));
-            if self.words[idx >> 6] == 0 {
-                self.summary[idx >> 12] &= !(1 << ((idx >> 6) & 63));
-            }
+        if n == NIL {
+            self.clear_bucket(idx);
+        } else {
+            self.lists[idx][0] = n;
         }
         Some(at)
     }
@@ -416,11 +474,10 @@ impl<E> TimerWheel<E> {
             return None;
         }
         let idx = self.next_occupied((now.ticks() & self.slot_mask()) as usize);
-        let &(at, seq, _) = self.buckets[idx]
-            .items
-            .front()
-            .expect("occupancy bit set on empty bucket");
-        Some((at, seq, idx))
+        let head = self.lists[idx][0];
+        debug_assert!(head != NIL, "occupancy bit set on empty bucket");
+        let node = &self.nodes[head as usize];
+        Some((node.at, node.seq, idx))
     }
 
     /// First word index `>= w` whose occupancy word is non-empty, if any
@@ -498,6 +555,43 @@ mod tests {
         }
         let order: Vec<u64> = drain(&mut w).into_iter().map(|(_, _, e)| e).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn node_arena_is_bounded_by_peak_live_events() {
+        // Bursts of uneven size into ever-new ticks: across two
+        // revolutions every slot sees large bursts. Per-slot growable
+        // storage would retain each slot's largest burst (slots × burst);
+        // the shared arena only ever holds the peak live count.
+        let mut w = TimerWheel::new();
+        let mut now = SimTime::ZERO;
+        let mut seq = 0u64;
+        let mut peak_live = 0;
+        let mut out = Vec::new();
+        for round in 0..2 * WHEEL_SLOTS as u64 {
+            for k in 0..1 + round % 3 {
+                let at = SimTime::from_ticks(now.ticks() + 1 + k);
+                for _ in 0..8 + (round * 7 + k) % 40 {
+                    w.insert(now, at, seq, seq);
+                    seq += 1;
+                }
+            }
+            peak_live = peak_live.max(w.len());
+            // Drain one run per round so buckets stay live across rounds
+            // and freed nodes are recycled by the next burst.
+            out.clear();
+            now = w.pop_run(now, &mut out).unwrap();
+        }
+        while let Some(t) = w.pop_run(now, &mut out) {
+            now = t;
+        }
+        assert!(w.is_empty());
+        assert!(peak_live < 200, "bursts stay small: {peak_live}");
+        assert!(
+            w.nodes.len() <= peak_live,
+            "arena holds {} nodes for a peak of {peak_live} live events",
+            w.nodes.len()
+        );
     }
 
     #[test]

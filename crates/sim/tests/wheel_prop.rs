@@ -280,3 +280,52 @@ fn split_tick_runs_continue_on_the_next_call() {
     }
     assert_eq!(order, [(3, 0), (3, 2), (tick, 1), (tick, 3)]);
 }
+
+#[test]
+fn bursts_node_reuse_and_growth_match_reference() {
+    // Same-tick bursts drained run by run recycle arena nodes through the
+    // free list, while offsets past the default horizon (but inside the
+    // maximum) accumulate until the horizon grows mid-stream and
+    // re-buckets every live node. The merged pop stream must still be
+    // the reference model's scan-minimum order.
+    for seed in 0..4u64 {
+        let mut rng = SimRng::new(0xB0B0 + seed);
+        let mut q = EventQueue::new();
+        let mut model = RefModel::default();
+        let mut id = 0u32;
+        let mut got = Vec::new();
+        let mut want = Vec::new();
+        let mut run = Vec::new();
+        let mut drain_run = |q: &mut EventQueue<u32>, model: &mut RefModel| {
+            run.clear();
+            let at = q.pop_run(&mut run)?;
+            for &e in &run {
+                got.push((at.ticks(), e));
+                want.push(model.pop().expect("reference ran dry first"));
+            }
+            Some(())
+        };
+        for _ in 0..5_000 {
+            if rng.chance(0.45) || model.pending.is_empty() {
+                let offset = match rng.next_below(6) {
+                    0 => 0,
+                    1 => rng.next_below(16),
+                    2 | 3 => WHEEL_SLOTS as u64 + rng.next_below(4 * WHEEL_SLOTS as u64),
+                    _ => rng.next_below(WHEEL_SLOTS as u64),
+                };
+                let at = q.now().ticks() + offset;
+                for _ in 0..1 + rng.next_below(8) {
+                    q.schedule(SimTime::from_ticks(at), id);
+                    model.schedule(at, id);
+                    id += 1;
+                }
+            } else {
+                drain_run(&mut q, &mut model);
+            }
+        }
+        while drain_run(&mut q, &mut model).is_some() {}
+        assert_eq!(model.pop(), None, "queue ran dry before the reference");
+        assert_eq!(got, want, "divergence from reference (seed {seed})");
+        assert!(q.horizon() > WHEEL_SLOTS, "growth was not exercised");
+    }
+}

@@ -6,7 +6,7 @@
 //! ~8 tasks each, 1280 chunks per unit by default); when the chunk pool
 //! is exhausted, further tasks overflow to the normal task queue.
 
-use std::collections::HashMap;
+use ndpb_sim::fasthash::FastMap;
 
 /// A chunked, per-key task store with a bounded chunk pool.
 ///
@@ -23,7 +23,7 @@ use std::collections::HashMap;
 pub struct ReservedQueue<T> {
     chunk_pool: usize,
     tasks_per_chunk: usize,
-    lists: HashMap<u64, Vec<T>>,
+    lists: FastMap<u64, Vec<T>>,
     chunks_used: usize,
     tasks_parked: usize,
     peak_chunks: usize,
@@ -44,7 +44,7 @@ impl<T> ReservedQueue<T> {
         ReservedQueue {
             chunk_pool,
             tasks_per_chunk,
-            lists: HashMap::new(),
+            lists: FastMap::default(),
             chunks_used: 0,
             tasks_parked: 0,
             peak_chunks: 0,
@@ -72,12 +72,11 @@ impl<T> ReservedQueue<T> {
     /// Returns the task back if admitting it would exceed the chunk
     /// pool; the caller should fall back to the normal task queue.
     pub fn reserve(&mut self, key: u64, task: T) -> Result<(), T> {
-        let cur_len = self.lists.get(&key).map_or(0, Vec::len);
-        let cur_chunks = if cur_len == 0 && !self.lists.contains_key(&key) {
-            0
-        } else {
-            self.chunks_for(cur_len)
-        };
+        // A present key holds at least one chunk even when its list is
+        // empty; an absent key holds none.
+        let cur = self.lists.get(&key).map(Vec::len);
+        let cur_len = cur.unwrap_or(0);
+        let cur_chunks = cur.map_or(0, |n| self.chunks_for(n));
         let new_chunks = self.chunks_for(cur_len + 1);
         let extra = new_chunks - cur_chunks;
         if self.chunks_used + extra > self.chunk_pool {

@@ -138,7 +138,11 @@ impl HotSketch {
     /// Records a task of `workload` on block `key` (called on every task
     /// enqueue). On a full-bucket miss, applies HeavyGuardian decay to
     /// the bucket's minimum entry using `rng`.
-    pub fn record(&mut self, key: u64, workload: u64, rng: &mut SimRng) {
+    ///
+    /// Returns whether `key` is tracked afterwards (what
+    /// [`get`](Self::get)`(key).is_some()` would report), so the enqueue
+    /// path scans the bucket once.
+    pub fn record(&mut self, key: u64, workload: u64, rng: &mut SimRng) -> bool {
         let cap = self.config.counter_cap;
         let per = self.config.entries_per_bucket;
         let b = self.bucket_of(key);
@@ -146,14 +150,14 @@ impl HotSketch {
 
         if let Some(e) = bucket.iter_mut().find(|e| e.key == key) {
             e.workload = e.workload.saturating_add(workload).min(cap);
-            return;
+            return true;
         }
         if bucket.len() < per {
             bucket.push(Entry {
                 key,
                 workload: workload.min(cap),
             });
-            return;
+            return true;
         }
         // Miss on a full bucket: probabilistically decay the minimum.
         let (min_idx, min_wl) = bucket
@@ -163,16 +167,19 @@ impl HotSketch {
             .map(|(i, e)| (i, e.workload))
             .expect("bucket is non-empty");
         let p = self.decay_probability(min_wl);
-        if rng.chance(p) {
-            let bucket = &mut self.buckets[b];
-            if min_wl <= workload {
-                bucket[min_idx] = Entry {
-                    key,
-                    workload: workload.min(cap),
-                };
-            } else {
-                bucket[min_idx].workload = min_wl - workload;
-            }
+        if !rng.chance(p) {
+            return false;
+        }
+        let bucket = &mut self.buckets[b];
+        if min_wl <= workload {
+            bucket[min_idx] = Entry {
+                key,
+                workload: workload.min(cap),
+            };
+            true
+        } else {
+            bucket[min_idx].workload = min_wl - workload;
+            false
         }
     }
 
@@ -342,6 +349,28 @@ mod tests {
     #[should_panic(expected = "positive geometry")]
     fn zero_geometry_panics() {
         HotSketch::new(SketchConfig::with_geometry(0, 4));
+    }
+
+    #[test]
+    fn record_reports_whether_the_key_is_tracked() {
+        // A small sketch under a skewed seeded stream hits every branch:
+        // hits, free-slot inserts, decay replacements and decay misses.
+        let mut s = HotSketch::new(SketchConfig::with_geometry(2, 4));
+        let mut r = SimRng::new(0x5EED);
+        let mut keys = SimRng::new(0xC0FFEE);
+        let (mut tracked, mut untracked) = (0, 0);
+        for _ in 0..20_000 {
+            let key = keys.next_below(8) * keys.next_below(8);
+            let wl = 1 + keys.next_below(6);
+            let flag = s.record(key, wl, &mut r);
+            assert_eq!(flag, s.get(key).is_some(), "key {key}");
+            if flag {
+                tracked += 1;
+            } else {
+                untracked += 1;
+            }
+        }
+        assert!(tracked > 0 && untracked > 0, "{tracked} / {untracked}");
     }
 
     #[test]

@@ -25,7 +25,8 @@ use ndpbridge::core::config::SystemConfig;
 use ndpbridge::core::design::DesignPoint;
 use ndpbridge::core::RunResult;
 use ndpbridge::dram::Geometry;
-use ndpbridge::workloads::Scale;
+use ndpbridge::sim::Fnv1a64;
+use ndpbridge::workloads::{Scale, APP_NAMES};
 
 /// The reference configuration: 2 ranks (128 units), fixed seed — big
 /// enough to exercise cross-rank bridge traffic, small enough to run
@@ -202,6 +203,56 @@ fn small_scale_designs_match_golden_references() {
         "Small-tier simulation drift vs tests/golden (if intentional, regenerate \
          with UPDATE_GOLDEN=1 cargo test --release --test golden_runs and commit):\n{}",
         failures.join("\n")
+    );
+}
+
+/// `app hex` lines: the FNV-1a digest of [`RunResult::to_json`] for
+/// design O on every paper app at `Scale::Full` under Table I.
+fn full_o_digests() -> String {
+    let points = APP_NAMES
+        .iter()
+        .map(|&app| {
+            SweepPoint::new(
+                app,
+                Column::Ndp(DesignPoint::O),
+                SystemConfig::table1(),
+                Scale::Full,
+            )
+        })
+        .collect();
+    Sweeper::new(2)
+        .run(points)
+        .iter()
+        .zip(APP_NAMES)
+        .map(|(r, app)| {
+            let mut h = Fnv1a64::new();
+            h.write_str(&r.to_json());
+            format!("{app} {:016x}\n", h.finish())
+        })
+        .collect()
+}
+
+#[test]
+#[ignore = "Full scale, about 10 s in release: ci.sh runs it in its full-scale lane"]
+fn full_scale_design_o_matches_digests() {
+    // Nothing else pins the paper's geometry: the golden documents above
+    // are 2-rank runs. A digest per app keeps the reference small while
+    // still catching any byte of drift in the Full results.
+    let fresh = full_o_digests();
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/full_o_digests.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some_and(|v| v == "1") {
+        std::fs::write(&path, &fresh).unwrap();
+        eprintln!("updated {}", path.display());
+        return;
+    }
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing {} ({e})", path.display()));
+    assert_eq!(
+        golden,
+        fresh,
+        "Full-scale design-O drift vs {} (if intentional, regenerate with \
+         UPDATE_GOLDEN=1 cargo test --release --test golden_runs -- --ignored)",
+        path.display()
     );
 }
 
