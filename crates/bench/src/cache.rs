@@ -41,7 +41,7 @@ use crate::json::Json;
 
 /// Bump when the cached document layout changes; old entries then miss
 /// and are regenerated instead of being misread.
-pub const CACHE_FORMAT: u32 = 1;
+pub(crate) const CACHE_FORMAT: u32 = 1;
 
 /// The cache key for one sweep point, under the running binary's
 /// [`build_identity`].
@@ -67,7 +67,7 @@ fn key_under(build: u64, app: &str, column_label: &str, scale: Scale, cfg: &Syst
 /// binary even after cargo replaces the file on disk; `current_exe` is
 /// the fallback. If neither can be read the identity is unique to this
 /// process, so nothing persisted is ever reused (fail closed).
-pub fn build_identity() -> u64 {
+pub(crate) fn build_identity() -> u64 {
     static ID: OnceLock<u64> = OnceLock::new();
     *ID.get_or_init(|| {
         let exe =
@@ -257,7 +257,7 @@ impl ResultCache {
     }
 
     /// The file a key maps to.
-    pub fn path_for(&self, key: u64) -> PathBuf {
+    pub(crate) fn path_for(&self, key: u64) -> PathBuf {
         self.dir.join(format!("{key:016x}.json"))
     }
 

@@ -23,7 +23,7 @@ use std::fmt;
 /// Deepest array/object nesting [`Json::parse`] accepts. The repo's
 /// writers emit at most about four levels; the cap only exists so a
 /// crafted document cannot recurse the parser off its thread stack.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,7 +87,7 @@ impl Json {
     }
 
     /// The value as `u64` (exact integers only).
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             Json::UInt(v) => Some(*v),
             _ => None,
@@ -95,7 +95,7 @@ impl Json {
     }
 
     /// The value as `f64` (any numeric variant).
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::UInt(v) => Some(*v as f64),
             Json::Int(v) => Some(*v as f64),

@@ -49,7 +49,7 @@ pub fn run_traced(
 }
 
 /// Runs the host-only baseline **H** for one application.
-pub fn run_host(app_name: &str, cfg: SystemConfig, scale: Scale) -> RunResult {
+pub(crate) fn run_host(app_name: &str, cfg: SystemConfig, scale: Scale) -> RunResult {
     let app = build_app(app_name, &cfg.geometry, scale, cfg.seed);
     HostOnly::new(cfg, HostOnlyConfig::paper(), app).run()
 }

@@ -14,7 +14,9 @@
 //! - **Message conservation** — every message ever emitted is either
 //!   delivered or still identifiable in flight (unit mailboxes and
 //!   pending-out buffers, bridge scatter/backup/up-mailbox buffers, host
-//!   scatter buffers, or scheduled delivery events).
+//!   scatter buffers, or the system's message slab, where every message
+//!   riding a queued `Deliver`/`LinkDeliver` event is parked). The scan
+//!   reads all of these directly; nothing is counted on the side.
 //! - **`dataBorrowed` inclusivity** — a borrowed block at a unit has a
 //!   matching rank-bridge entry, the rank entry is covered by a host
 //!   entry when the block crossed ranks, the home unit's `isLent` bit is
@@ -55,19 +57,19 @@ impl Default for AuditLevel {
 
 impl AuditLevel {
     /// Whether epoch-boundary scans run.
-    pub fn at_epochs(self) -> bool {
+    pub(crate) fn at_epochs(self) -> bool {
         self == AuditLevel::Full
     }
 
     /// Whether the end-of-run scan runs.
-    pub fn at_end(self) -> bool {
+    pub(crate) fn at_end(self) -> bool {
         self >= AuditLevel::Final
     }
 }
 
 /// One violated conservation law, as reported by the system auditor.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
+pub(crate) struct Violation {
     /// The law that failed (a stable short name, e.g.
     /// `"message-conservation"`).
     pub law: &'static str,

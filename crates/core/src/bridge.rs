@@ -24,8 +24,6 @@ use crate::metadata::LruTable;
 /// The bridge's last state snapshot of one child unit.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChildState {
-    /// `L_mailbox`: bytes waiting in the child's mailbox.
-    pub mailbox_bytes: u64,
     /// `W_queue`: workload waiting in the child's task queue.
     pub queue_workload: u64,
     /// `W_finish`: workload finished in the last interval.
@@ -55,8 +53,6 @@ pub struct BridgeStats {
 /// A level-1 (rank) bridge.
 #[derive(Debug)]
 pub struct RankBridge {
-    /// The rank this bridge serves.
-    pub rank: RankId,
     /// Per-child scatter buffers (1 kB each in Table I).
     scatter: Vec<VecDeque<Message>>,
     scatter_bytes: Vec<u64>,
@@ -98,10 +94,9 @@ pub struct RankBridge {
 }
 
 impl RankBridge {
-    /// Creates the bridge for `rank` with `children` child units.
-    pub fn new(rank: RankId, children: usize, cfg: &SystemConfig, rng: SimRng) -> Self {
+    /// Creates a rank bridge with `children` child units.
+    pub fn new(children: usize, cfg: &SystemConfig, rng: SimRng) -> Self {
         RankBridge {
-            rank,
             scatter: vec![VecDeque::new(); children],
             scatter_bytes: vec![0; children],
             scatter_cap: cfg.scatter_buffer_bytes,
@@ -347,7 +342,7 @@ mod tests {
     }
 
     fn bridge(c: &SystemConfig) -> RankBridge {
-        RankBridge::new(RankId(0), 64, c, SimRng::new(1))
+        RankBridge::new(64, c, SimRng::new(1))
     }
 
     fn msg() -> Message {
@@ -362,7 +357,7 @@ mod tests {
         let mut c = cfg();
         c.scatter_buffer_bytes = 32; // one ~20 B message fits
         c.backup_buffer_bytes = 32;
-        let mut b = RankBridge::new(RankId(0), 2, &c, SimRng::new(1));
+        let mut b = RankBridge::new(2, &c, SimRng::new(1));
         b.enqueue_scatter(0, msg()).unwrap();
         b.enqueue_scatter(0, msg()).unwrap(); // spills (20+20 > 32)
         assert_eq!(b.backup_pending(), msg().wire_bytes() as u64);
@@ -377,7 +372,7 @@ mod tests {
     fn refill_moves_backup_after_drain() {
         let mut c = cfg();
         c.scatter_buffer_bytes = 32;
-        let mut b = RankBridge::new(RankId(0), 1, &c, SimRng::new(1));
+        let mut b = RankBridge::new(1, &c, SimRng::new(1));
         b.enqueue_scatter(0, msg()).unwrap();
         b.enqueue_scatter(0, msg()).unwrap(); // backup
         let mut drained = Vec::new();
@@ -467,7 +462,7 @@ mod tests {
                             bytes: 1 + rng.next_below(4096) as u32,
                             workload: 0,
                         },
-                        None,
+                        UnitId(0),
                     )
                 };
                 h.enqueue_scatter(r, m);

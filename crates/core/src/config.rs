@@ -2,7 +2,7 @@
 
 use crate::audit::AuditLevel;
 use ndpb_dram::{DramTiming, EnergyParams, Geometry};
-use ndpb_sim::{SimTime, TICKS_PER_CORE_CYCLE};
+use ndpb_sim::SimTime;
 use ndpb_sketch::SketchConfig;
 
 /// When the bridges run task/data message gather/scatter rounds
@@ -168,7 +168,7 @@ impl SystemConfig {
     ///
     /// Panics on inconsistent parameters (zero `G_xfer`, `G_xfer` not
     /// dividing buffers, DQ multiplexing eating every pin).
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.g_xfer > 0, "G_xfer must be positive");
         assert!(
             self.steal_budget_gxfer > 0,
@@ -195,7 +195,7 @@ impl SystemConfig {
 
     /// Maximum number of blocks the borrowed-data region can hold; the
     /// `dataBorrowed` table may be the tighter limit.
-    pub fn borrowed_capacity_blocks(&self) -> usize {
+    pub(crate) fn borrowed_capacity_blocks(&self) -> usize {
         ((self.borrowed_region_bytes / self.g_xfer as u64) as usize).min(self.unit_borrowed_entries)
     }
 
@@ -224,7 +224,7 @@ impl Default for SystemConfig {
 /// The in-advance scheduling threshold `W_th = 2 · G_xfer · S_exe /
 /// S_xfer` (Section VI-C), in workload units, from the bridge's current
 /// speed estimates.
-pub fn w_threshold(
+pub(crate) fn w_threshold(
     g_xfer: u32,
     s_exe_cycles_per_workload: f64,
     s_xfer_bytes_per_cycle: f64,
@@ -236,11 +236,6 @@ pub fn w_threshold(
     // units via the execution speed.
     let transfer_cycles = 2.0 * g_xfer as f64 / s_xfer_bytes_per_cycle;
     (transfer_cycles / s_exe_cycles_per_workload).ceil() as u64
-}
-
-/// Converts NDP core cycles to ticks (convenience for tests and apps).
-pub fn cycles_to_ticks(cycles: u64) -> u64 {
-    cycles * TICKS_PER_CORE_CYCLE
 }
 
 #[cfg(test)]

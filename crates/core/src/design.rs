@@ -49,7 +49,7 @@ pub struct LbPolicy {
 
 impl LbPolicy {
     /// No load balancing (designs C, B, R).
-    pub const NONE: LbPolicy = LbPolicy {
+    pub(crate) const NONE: LbPolicy = LbPolicy {
         enabled: false,
         in_advance: false,
         fine_grained: false,
@@ -60,7 +60,7 @@ impl LbPolicy {
     };
 
     /// Traditional work stealing with workload correction (design W).
-    pub const WORK_STEALING: LbPolicy = LbPolicy {
+    pub(crate) const WORK_STEALING: LbPolicy = LbPolicy {
         enabled: true,
         in_advance: false,
         fine_grained: false,
@@ -71,7 +71,7 @@ impl LbPolicy {
     };
 
     /// Full data-transfer-aware policy (design O).
-    pub const DATA_AWARE: LbPolicy = LbPolicy {
+    pub(crate) const DATA_AWARE: LbPolicy = LbPolicy {
         enabled: true,
         in_advance: true,
         fine_grained: true,
@@ -83,7 +83,7 @@ impl LbPolicy {
 
     /// Gather-cost-aware stealing (design `W+GA`): traditional work
     /// stealing plus the byte budget and the lent-block preference.
-    pub const GATHER_AWARE: LbPolicy = LbPolicy {
+    pub(crate) const GATHER_AWARE: LbPolicy = LbPolicy {
         byte_budget: true,
         prefer_lent: true,
         ..LbPolicy::WORK_STEALING

@@ -7,8 +7,8 @@
 //! * [`config::SystemConfig`] — Table I parameters and sweep knobs;
 //! * [`design::DesignPoint`] — the evaluated designs C/B/W/O plus the
 //!   RowClone baseline R and the Figure 14a ablations;
-//! * [`unit::NdpUnit`] — per-bank core, controller, queues, metadata;
-//! * [`bridge`] — level-1 rank bridges and the level-2 host bridge;
+//! * `unit::NdpUnit` — per-bank core, controller, queues, metadata;
+//! * `bridge` — level-1 rank bridges and the level-2 host bridge;
 //! * [`system::System`] — the discrete-event simulation binding it all:
 //!   task execution, gather/scatter rounds, dynamic triggering and
 //!   hierarchical data-transfer-aware load balancing;
@@ -20,24 +20,23 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod bridge;
+pub(crate) mod bridge;
 pub mod config;
 pub mod design;
 pub mod epoch;
 pub mod hostonly;
 pub mod metadata;
-pub mod pool;
+pub(crate) mod pool;
 pub mod result;
 pub mod steal;
 pub mod system;
-pub mod unit;
+pub(crate) mod unit;
 
 /// The simulator's fixed-seed hasher, shared with the sketch crate.
 pub use ndpb_sim::fasthash;
 
-pub use audit::{AuditLevel, Violation};
+pub use audit::AuditLevel;
 pub use config::{SystemConfig, TriggerPolicy};
-pub use design::{CommPath, DesignPoint, LbPolicy};
-pub use pool::BufPool;
+pub use design::{CommPath, DesignPoint};
 pub use result::{ProfileStats, RunResult};
 pub use system::System;

@@ -91,11 +91,6 @@ impl<K: std::hash::Hash + Eq + Copy, V> LruTable<K, V> {
         self.map.is_empty()
     }
 
-    /// Whether the table is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.map.len() >= self.capacity
-    }
-
     /// Maximum entries.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -196,9 +191,10 @@ mod tests {
     #[test]
     fn lru_is_full() {
         let mut t = LruTable::new(1);
-        assert!(!t.is_full());
-        t.insert(9u64, ());
-        assert!(t.is_full());
+        assert_eq!(t.insert(9u64, ()), None, "room for one entry");
+        assert_eq!(t.len(), t.capacity());
+        // Full: the next insert evicts.
+        assert_eq!(t.insert(10u64, ()), Some((9, ())));
         assert_eq!(t.capacity(), 1);
     }
 

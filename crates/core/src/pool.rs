@@ -68,12 +68,6 @@ impl<T> BufPool<T> {
         buf.clear();
         self.free.push(buf);
     }
-
-    /// Number of free buffers currently retained.
-    #[inline]
-    pub fn idle(&self) -> usize {
-        self.free.len()
-    }
 }
 
 /// Values parked behind `u32` handles, with freed slots reused LIFO.
@@ -121,6 +115,11 @@ impl<T> Slab<T> {
         self.free.push(handle);
         v
     }
+
+    /// The live (inserted, not yet taken) values, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().flatten()
+    }
 }
 
 #[cfg(test)]
@@ -134,11 +133,11 @@ mod tests {
         v.extend([1, 2, 3]);
         let cap = v.capacity();
         p.put(v);
-        assert_eq!(p.idle(), 1);
+        assert_eq!(p.free.len(), 1);
         let v = p.get();
         assert!(v.is_empty(), "pooled buffers must come back cleared");
         assert_eq!(v.capacity(), cap, "capacity survives the round trip");
-        assert_eq!(p.idle(), 0);
+        assert_eq!(p.free.len(), 0);
     }
 
     #[test]
@@ -168,6 +167,25 @@ mod tests {
     }
 
     #[test]
+    fn slab_iter_yields_exactly_the_live_values() {
+        let mut s: Slab<u32> = Slab::new();
+        let h: Vec<u32> = (0..6).map(|v| s.insert(v)).collect();
+        s.take(h[1]);
+        s.take(h[4]);
+        let h6 = s.insert(6); // reuses slot 4
+        s.take(h[0]);
+        s.insert(7); // reuses slot 0
+        s.take(h6);
+        let mut live: Vec<u32> = s.iter().copied().collect();
+        live.sort_unstable();
+        assert_eq!(live, [2, 3, 5, 7]);
+        for h in [h[2], h[3], h[5], h[0]] {
+            s.take(h);
+        }
+        assert_eq!(s.iter().count(), 0, "an emptied slab yields nothing");
+    }
+
+    #[test]
     #[should_panic(expected = "not live")]
     fn slab_handle_taken_twice_panics() {
         let mut s = Slab::new();
@@ -182,6 +200,6 @@ mod tests {
         for _ in 0..5 {
             p.put(Vec::with_capacity(8));
         }
-        assert_eq!(p.idle(), 2, "excess buffers are dropped, not hoarded");
+        assert_eq!(p.free.len(), 2, "excess buffers are dropped, not hoarded");
     }
 }

@@ -77,7 +77,7 @@ pub fn ranks_better(a: &StealCandidate, b: &StealCandidate) -> bool {
 /// exactly the regime where W loses to B (Fig 10's inversion at small
 /// scale). Task-only forwards always pay — no gather/scatter happens.
 #[derive(Debug, Clone, Copy)]
-pub struct AmortizeCfg {
+pub(crate) struct AmortizeCfg {
     /// Gather/scatter transfer granularity (`SystemConfig::g_xfer`).
     pub g_xfer: u32,
     /// Byte allowance per `w_th`, in `g_xfer` multiples

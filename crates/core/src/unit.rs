@@ -60,8 +60,6 @@ pub struct UnitStats {
     pub dram_local_bytes: Counter,
     /// Messages pushed into the mailbox.
     pub msgs_emitted: Counter,
-    /// Messages delivered to this unit.
-    pub msgs_received: Counter,
     /// Core stalls due to a full mailbox.
     pub mailbox_stalls: Counter,
     /// Borrowed blocks admitted beyond nominal capacity because every
@@ -249,11 +247,6 @@ impl NdpUnit {
         (self.reserved.peak_chunks(), self.reserved.peak_tasks())
     }
 
-    /// Number of parked future-epoch tasks.
-    pub fn future_tasks(&self) -> usize {
-        self.future.values().map(Vec::len).sum()
-    }
-
     /// Records `wl` workload as finished (for `W_finish`).
     pub fn add_finished(&mut self, wl: u64) {
         self.finished_workload += wl;
@@ -307,11 +300,6 @@ impl NdpUnit {
     /// Removes a borrowed block (it is being returned home).
     pub fn remove_borrow(&mut self, block: BlockAddr) -> bool {
         self.borrowed.remove(&block).is_some()
-    }
-
-    /// Number of blocks currently borrowed.
-    pub fn borrowed_count(&self) -> usize {
-        self.borrowed.len()
     }
 
     /// Iterates over the borrowed blocks in unspecified order (auditing).
@@ -590,12 +578,6 @@ impl NdpUnit {
         }
         out
     }
-
-    /// The unit's deterministic RNG (for system-level decisions tied to
-    /// this unit).
-    pub fn rng(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
 }
 
 /// Wire bytes of a batch of task descriptors, as they would be mailed.
@@ -677,7 +659,7 @@ mod tests {
         let mut t = task_at(&m, 0, 0, 2);
         t.ts = Timestamp(1);
         u.enqueue_future(t);
-        assert_eq!(u.future_tasks(), 1);
+        assert_eq!(u.future.values().map(Vec::len).sum::<usize>(), 1);
         assert_eq!(u.queued_tasks(), 0);
         assert_eq!(u.release_epoch(Timestamp(1), false, &m), 1);
         assert_eq!(u.queued_tasks(), 1);
@@ -710,7 +692,7 @@ mod tests {
         u.touch_borrow(BlockAddr(1));
         let e = u.admit_borrow(BlockAddr(3));
         assert_eq!(e, Some(BlockAddr(2)));
-        assert_eq!(u.borrowed_count(), 2);
+        assert_eq!(u.borrowed.len(), 2);
     }
 
     #[test]

@@ -45,11 +45,11 @@ pub struct BankModel {
     busy_until: SimTime,
     last_was_write: bool,
     /// Row activations performed.
-    pub activations: Counter,
+    pub(crate) activations: Counter,
     /// Bytes read from the array.
-    pub bytes_read: Counter,
+    pub(crate) bytes_read: Counter,
     /// Bytes written to the array.
-    pub bytes_written: Counter,
+    pub(crate) bytes_written: Counter,
     /// Total time the bank spent servicing requests.
     pub busy: BusyTime,
 }
@@ -63,11 +63,6 @@ impl BankModel {
     /// When the bank becomes free.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
-    }
-
-    /// The currently open row, if any.
-    pub fn open_row(&self) -> Option<u64> {
-        self.open_row
     }
 
     /// Issues an access of `bytes` bytes to `row` at time `now`; returns
@@ -197,7 +192,7 @@ mod tests {
         let conflict = b.access(first.end, 9, 64, false, &t());
         assert!(conflict.activated);
         assert_eq!(conflict.end - conflict.start, t().row_conflict(64));
-        assert_eq!(b.open_row(), Some(9));
+        assert_eq!(b.open_row, Some(9));
     }
 
     #[test]
@@ -261,6 +256,6 @@ mod tests {
         let mut b = BankModel::new();
         b.access(SimTime::ZERO, 5, 64, false, &t());
         b.precharge();
-        assert_eq!(b.open_row(), None);
+        assert_eq!(b.open_row, None);
     }
 }

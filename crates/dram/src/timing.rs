@@ -50,7 +50,7 @@ impl DramTiming {
     }
 
     /// Data transfer time for `bytes` through one bank's IO pins.
-    pub fn burst_time(&self, bytes: u32) -> SimTime {
+    pub(crate) fn burst_time(&self, bytes: u32) -> SimTime {
         // Runs once per bank access: shift instead of hardware divide
         // when the IO width is a power of two (it always is in
         // practice), with identical results either way.

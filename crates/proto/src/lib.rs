@@ -13,8 +13,10 @@
 //! | `SCATTER` | WRITE to `R_COL` | deliver `G_xfer` bytes of messages to a child |
 //! | `SCHEDULE` | ACTIVATE with budget in the row address | start load balancing at a giver |
 //!
-//! This crate models the wire formats ([`message`]) and the per-unit
-//! and per-bridge mailbox ring buffers ([`mailbox`]). The commands
+//! This crate models the wire formats of task and data messages
+//! ([`message`]) and the per-unit and per-bridge mailbox ring buffers
+//! ([`mailbox`]). State messages never enter a mailbox: the simulator
+//! models what STATE-GATHER collects as `ndpb_core::bridge::ChildState`. The commands
 //! themselves are not modelled as C/A-link traffic: the simulator
 //! (`ndpb-core`) charges each GATHER/SCATTER as the DQ transfer of its
 //! payload plus the bank access on the controller's reserved rows, and
@@ -26,4 +28,4 @@ pub mod mailbox;
 pub mod message;
 
 pub use mailbox::{Mailbox, MailboxFull};
-pub use message::{DataMessage, Message, StateMessage, MAX_MESSAGE_BYTES};
+pub use message::{DataMessage, Message, MAX_MESSAGE_BYTES};

@@ -221,7 +221,7 @@ impl Mailbox {
 mod tests {
     use super::*;
     use crate::message::DataMessage;
-    use ndpb_dram::{BlockAddr, DataAddr};
+    use ndpb_dram::{BlockAddr, DataAddr, UnitId};
     use ndpb_tasks::{Task, TaskArgs, TaskFnId, Timestamp};
 
     fn task_msg() -> Message {
@@ -238,7 +238,7 @@ mod tests {
                 bytes,
                 workload: 1,
             },
-            None,
+            UnitId(1),
         )
     }
 
@@ -249,8 +249,8 @@ mod tests {
         mb.push(data_msg(64)).unwrap();
         let all = mb.drain_up_to(4096);
         assert_eq!(all.len(), 2);
-        assert!(all[0].is_task());
-        assert!(all[1].is_data());
+        assert!(matches!(all[0], Message::Task(..)));
+        assert!(matches!(all[1], Message::Data(..)));
         assert!(mb.is_empty());
         assert_eq!(mb.bytes_used(), 0);
     }
@@ -306,7 +306,7 @@ mod tests {
         let mut mb = Mailbox::new(1 << 20);
         mb.push(task_msg()).unwrap();
         mb.push(data_msg(8)).unwrap();
-        let kinds: Vec<bool> = mb.iter().map(|m| m.is_task()).collect();
+        let kinds: Vec<bool> = mb.iter().map(|m| matches!(m, Message::Task(..))).collect();
         assert_eq!(kinds, vec![true, false]);
     }
 }

@@ -7,7 +7,7 @@ use ndpb_tasks::Task;
 pub const MAX_MESSAGE_BYTES: u32 = 64;
 
 /// Header bytes of every message: type + index fields (Figure 5).
-pub const MESSAGE_HEADER_BYTES: u32 = 2;
+pub(crate) const MESSAGE_HEADER_BYTES: u32 = 2;
 
 /// A data message: one `G_xfer`-sized block being lent to another unit
 /// for data-first load balancing. On the wire it is split into
@@ -24,28 +24,13 @@ pub struct DataMessage {
     pub workload: u64,
 }
 
-/// A state message: the per-unit status the bridge collects with
-/// STATE-GATHER (Section V-B). State is maintained in the unit
-/// controller, not the mailbox, so it is never blocked behind other
-/// messages.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StateMessage {
-    /// Bytes currently waiting in the mailbox region (`L_mailbox`).
-    pub mailbox_bytes: u64,
-    /// Workload (estimated cycles) waiting in the task queue
-    /// (`W_queue`).
-    pub queue_workload: u64,
-    /// Workload finished since the previous state gather (`W_finish`).
-    pub finished_workload: u64,
-    /// When responding to a SCHEDULE round: the blocks chosen to be lent
-    /// out with their workloads (step ③ of Figure 6).
-    pub scheduled_out: Vec<(BlockAddr, u64)>,
-}
-
-impl StateMessage {
-    /// Wire size: fixed fields plus 10 bytes per scheduled-out entry.
+impl DataMessage {
+    /// Wire size: the payload plus one header and address per
+    /// sub-message it is split into.
     pub fn wire_bytes(&self) -> u32 {
-        MESSAGE_HEADER_BYTES + 6 + 6 + 6 + self.scheduled_out.len() as u32 * 10
+        let payload_per_sub = MAX_MESSAGE_BYTES - MESSAGE_HEADER_BYTES - 8;
+        let subs = self.bytes.div_ceil(payload_per_sub).max(1);
+        self.bytes + subs * (MESSAGE_HEADER_BYTES + 8)
     }
 }
 
@@ -58,12 +43,9 @@ pub enum Message {
     /// `toArrive` correction counters (Section VI-C) until first
     /// delivery; `None` for ordinary spawns and reroutes.
     Task(Task, Option<UnitId>),
-    /// A block being lent for load balancing, with an explicit receiver
-    /// chosen by the bridge (step ④ of Figure 6). `None` until the
-    /// bridge assigns it.
-    Data(DataMessage, Option<UnitId>),
-    /// A state report (only travels child → parent).
-    State(StateMessage),
+    /// A block moving to its receiver: a lend chosen by load balancing
+    /// (step ④ of Figure 6) or a return to the block's home unit.
+    Data(DataMessage, UnitId),
 }
 
 impl Message {
@@ -72,23 +54,8 @@ impl Message {
     pub fn wire_bytes(&self) -> u32 {
         match self {
             Message::Task(t, _) => t.wire_bytes().min(MAX_MESSAGE_BYTES),
-            Message::Data(d, _) => {
-                let payload_per_sub = MAX_MESSAGE_BYTES - MESSAGE_HEADER_BYTES - 8;
-                let subs = d.bytes.div_ceil(payload_per_sub).max(1);
-                d.bytes + subs * (MESSAGE_HEADER_BYTES + 8)
-            }
-            Message::State(s) => s.wire_bytes(),
+            Message::Data(d, _) => d.wire_bytes(),
         }
-    }
-
-    /// Whether this is a task message.
-    pub fn is_task(&self) -> bool {
-        matches!(self, Message::Task(..))
-    }
-
-    /// Whether this is a data (block-lending) message.
-    pub fn is_data(&self) -> bool {
-        matches!(self, Message::Data(..))
     }
 }
 
@@ -112,8 +79,7 @@ mod tests {
     fn task_message_fits_64_bytes() {
         let m = Message::Task(task(), None);
         assert!(m.wire_bytes() <= MAX_MESSAGE_BYTES);
-        assert!(m.is_task());
-        assert!(!m.is_data());
+        assert!(matches!(m, Message::Task(..)));
     }
 
     #[test]
@@ -124,7 +90,7 @@ mod tests {
                 bytes: 256,
                 workload: 40,
             },
-            None,
+            UnitId(2),
         );
         // 256 B payload at 54 B per sub-message = 5 subs, each with a
         // 10 B header+address overhead.
@@ -139,17 +105,8 @@ mod tests {
                 bytes: 16,
                 workload: 1,
             },
-            Some(UnitId(3)),
+            UnitId(3),
         );
         assert_eq!(m.wire_bytes(), 16 + 10);
-    }
-
-    #[test]
-    fn state_message_grows_with_schedule_list() {
-        let mut s = StateMessage::default();
-        let empty = s.wire_bytes();
-        s.scheduled_out.push((BlockAddr(3), 17));
-        assert_eq!(s.wire_bytes(), empty + 10);
-        assert!(Message::State(s).wire_bytes() >= empty);
     }
 }

@@ -1,7 +1,7 @@
 //! Mailbox edge cases: ring wrap-around accounting, enqueue-on-full
 //! backpressure, and the once-per-stall `mailbox-full` trace latch.
 
-use ndpb_dram::{BlockAddr, DataAddr};
+use ndpb_dram::{BlockAddr, DataAddr, UnitId};
 use ndpb_proto::{DataMessage, Mailbox, Message};
 use ndpb_sim::SimTime;
 use ndpb_tasks::{Task, TaskArgs, TaskFnId, Timestamp};
@@ -21,7 +21,7 @@ fn data_msg(bytes: u32, block: u64) -> Message {
             bytes,
             workload: 1,
         },
-        None,
+        UnitId(1),
     )
 }
 

@@ -18,7 +18,7 @@ const MAX_BODY_BYTES: usize = 1024 * 1024;
 
 /// One parsed HTTP request.
 #[derive(Debug)]
-pub struct Request {
+pub(crate) struct Request {
     /// Request method (`GET`, `POST`, …), uppercased.
     pub method: String,
     /// Request path (`/run`, `/job/3`, …), query string stripped.
@@ -53,7 +53,7 @@ fn read_bounded_line<R: BufRead>(reader: &mut R, budget: &mut usize) -> io::Resu
 /// Reads one request off the connection. `Ok(None)` is a clean EOF
 /// (client closed between keep-alive requests); errors are malformed,
 /// oversized or non-HTTP requests and should close the connection.
-pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
+pub(crate) fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
     let mut budget = MAX_HEADER_BYTES;
     let line = read_bounded_line(reader, &mut budget)?;
     if line.is_empty() {
@@ -146,7 +146,7 @@ pub fn reason(status: u16) -> &'static str {
 /// Writes one HTTP response with a JSON body: head and body go out in
 /// a single write, so a keep-alive client never waits out a delayed ACK
 /// between them.
-pub fn write_response(
+pub(crate) fn write_response(
     w: &mut impl Write,
     status: u16,
     body: &str,

@@ -20,7 +20,7 @@ use ndpb_workloads::{Scale, APP_NAMES, EXTRA_APP_NAMES};
 /// A typed `/run` request: the cross product `apps × designs` at one
 /// scale, with an optional audit-level override.
 #[derive(Debug, Clone)]
-pub struct RunRequest {
+pub(crate) struct RunRequest {
     /// Application names (validated against the workload registry).
     pub apps: Vec<String>,
     /// Design columns.
@@ -168,7 +168,7 @@ impl RunRequest {
 /// that asked for the same point while it was in flight. A simulated
 /// point is rendered only when its job is polled.
 #[derive(Debug, Clone)]
-pub enum JobPoint {
+pub(crate) enum JobPoint {
     /// A cache hit, rendered at admission.
     Ready(String),
     /// A point on the pool.
@@ -194,7 +194,7 @@ impl JobPoint {
 
 /// One accepted job: its points in request order.
 #[derive(Debug, Clone)]
-pub struct Job {
+pub(crate) struct Job {
     /// Points in request order.
     pub points: Vec<JobPoint>,
 }

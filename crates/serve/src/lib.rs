@@ -130,12 +130,12 @@ impl State {
     }
 
     /// True once `/shutdown` or SIGINT was seen.
-    pub fn shutting_down(&self) -> bool {
+    pub(crate) fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
 
     /// Requests shutdown (idempotent).
-    pub fn begin_shutdown(&self) {
+    pub(crate) fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 

@@ -159,12 +159,6 @@ impl<E> EventQueue<E> {
         self.popped += (out.len() - before) as u64;
         Some(at)
     }
-
-    /// Timestamp of the next pending event without popping it.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.wheel.peek(self.now)
-    }
 }
 
 #[cfg(test)]
@@ -223,10 +217,9 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_advance() {
+    fn scheduling_does_not_advance_the_clock() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_ticks(9), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_ticks(9)));
         assert_eq!(q.now(), SimTime::ZERO);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
@@ -241,7 +234,6 @@ mod tests {
         q.schedule(SimTime::from_ticks(2), 'a');
         q.schedule(SimTime::from_ticks(far), 'y'); // same far tick, later seq
         assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ticks(2)));
         assert_eq!(q.pop().unwrap().1, 'a');
         assert_eq!(q.pop().unwrap(), (SimTime::from_ticks(far), 'z'));
         assert_eq!(q.pop().unwrap(), (SimTime::from_ticks(far), 'y'));

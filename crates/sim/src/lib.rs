@@ -20,7 +20,7 @@
 //! * [`fingerprint`] — a stable 64-bit FNV-1a hasher used to
 //!   content-address sweep results (std's `DefaultHasher` is not stable
 //!   across toolchains).
-//! * [`stats`] — counters, time-weighted averages and histograms used for
+//! * [`stats`] — counters, busy-time and finish-time summaries used for
 //!   the per-unit and system-wide statistics the paper reports.
 //!
 //! # Example

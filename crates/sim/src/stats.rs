@@ -1,4 +1,5 @@
-//! Statistics primitives: counters, busy-time accumulators and histograms.
+//! Statistics primitives: counters, busy-time accumulators and finish-time
+//! summaries.
 //!
 //! The paper's evaluation reports, per design point: total execution time
 //! (slowest unit), average unit time, wait (non-execution) time, message
@@ -55,7 +56,6 @@ impl fmt::Display for Counter {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BusyTime {
     total: SimTime,
-    intervals: u64,
 }
 
 impl BusyTime {
@@ -67,23 +67,11 @@ impl BusyTime {
     pub fn record(&mut self, start: SimTime, end: SimTime) {
         debug_assert!(end >= start);
         self.total += end - start;
-        self.intervals += 1;
-    }
-
-    /// Records a busy duration directly.
-    pub fn record_duration(&mut self, d: SimTime) {
-        self.total += d;
-        self.intervals += 1;
     }
 
     /// Total accumulated busy time.
     pub fn total(&self) -> SimTime {
         self.total
-    }
-
-    /// Number of intervals recorded.
-    pub fn intervals(&self) -> u64 {
-        self.intervals
     }
 
     /// Utilization over a window `[0, horizon)`, in `[0, 1]`.
@@ -94,146 +82,6 @@ impl BusyTime {
         } else {
             self.total.ticks() as f64 / horizon.ticks() as f64
         }
-    }
-}
-
-/// A time-weighted average of a piecewise-constant quantity (queue
-/// depth, buffer occupancy): each recorded value is weighted by how
-/// long it persisted.
-///
-/// # Example
-///
-/// ```
-/// use ndpb_sim::stats::TimeWeighted;
-/// use ndpb_sim::SimTime;
-/// let mut tw = TimeWeighted::new();
-/// tw.record(SimTime::ZERO, 10);           // value 10 from t=0
-/// tw.record(SimTime::from_ticks(4), 2);   // value 2 from t=4
-/// let avg = tw.mean(SimTime::from_ticks(8));
-/// assert!((avg - 6.0).abs() < 1e-9);      // (10*4 + 2*4) / 8
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TimeWeighted {
-    weighted_sum: u128,
-    last_at: SimTime,
-    last_value: u64,
-    started: bool,
-}
-
-impl TimeWeighted {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that the tracked quantity became `value` at time `at`.
-    /// Times must be non-decreasing.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `at` precedes the previous record.
-    pub fn record(&mut self, at: SimTime, value: u64) {
-        debug_assert!(at >= self.last_at, "time went backwards");
-        if self.started {
-            let dt = (at - self.last_at).ticks() as u128;
-            self.weighted_sum += dt * self.last_value as u128;
-        }
-        self.last_at = at;
-        self.last_value = value;
-        self.started = true;
-    }
-
-    /// The current value.
-    pub fn current(&self) -> u64 {
-        self.last_value
-    }
-
-    /// Time-weighted mean over `[0, horizon)`, extending the last value
-    /// to the horizon. Returns 0 if nothing was recorded or the horizon
-    /// is zero.
-    pub fn mean(&self, horizon: SimTime) -> f64 {
-        if !self.started || horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        let mut sum = self.weighted_sum;
-        if horizon > self.last_at {
-            sum += (horizon - self.last_at).ticks() as u128 * self.last_value as u128;
-        }
-        sum as f64 / horizon.ticks() as f64
-    }
-}
-
-/// A fixed-bucket power-of-two histogram of `u64` samples (latencies,
-/// queue lengths). Bucket `i` holds samples in `[2^(i-1), 2^i)`, bucket 0
-/// holds zero/one.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u128,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram covering the full `u64` range.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; 65],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: u64) {
-        let idx = (64 - sample.leading_zeros()) as usize;
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += sample as u128;
-        self.max = self.max.max(sample);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of all samples (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Largest sample seen (0 if empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Approximate p-quantile (`q` in `[0,1]`) from the bucket boundaries;
-    /// returns the upper bound of the bucket containing the quantile.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target.max(1) {
-                return if i == 0 { 0 } else { 1u64 << i };
-            }
-        }
-        self.max
     }
 }
 
@@ -303,9 +151,8 @@ mod tests {
     fn busy_time_totals() {
         let mut b = BusyTime::default();
         b.record(SimTime::from_ticks(10), SimTime::from_ticks(30));
-        b.record_duration(SimTime::from_ticks(5));
+        b.record(SimTime::from_ticks(40), SimTime::from_ticks(45));
         assert_eq!(b.total(), SimTime::from_ticks(25));
-        assert_eq!(b.intervals(), 2);
         assert!((b.utilization(SimTime::from_ticks(100)) - 0.25).abs() < 1e-12);
     }
 
@@ -313,61 +160,6 @@ mod tests {
     fn busy_time_zero_horizon() {
         let b = BusyTime::default();
         assert_eq!(b.utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut tw = TimeWeighted::new();
-        tw.record(SimTime::ZERO, 4);
-        tw.record(SimTime::from_ticks(10), 0);
-        // 4 for 10 ticks, then 0 for 10 ticks.
-        assert!((tw.mean(SimTime::from_ticks(20)) - 2.0).abs() < 1e-12);
-        assert_eq!(tw.current(), 0);
-    }
-
-    #[test]
-    fn time_weighted_extends_last_value() {
-        let mut tw = TimeWeighted::new();
-        tw.record(SimTime::ZERO, 6);
-        assert!((tw.mean(SimTime::from_ticks(100)) - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_empty_is_zero() {
-        let tw = TimeWeighted::new();
-        assert_eq!(tw.mean(SimTime::from_ticks(5)), 0.0);
-        assert_eq!(tw.mean(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn histogram_mean_max_count() {
-        let mut h = Histogram::new();
-        for s in [1u64, 2, 3, 4] {
-            h.record(s);
-        }
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.max(), 4);
-        assert!((h.mean() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_quantiles_bracket() {
-        let mut h = Histogram::new();
-        for i in 0..1000u64 {
-            h.record(i);
-        }
-        // Median of 0..1000 is ~500; the bucket upper bound must be >= it
-        // and within one power of two.
-        let q50 = h.quantile(0.5);
-        assert!((512..=1024).contains(&q50), "q50 {q50}");
-        assert_eq!(h.quantile(0.0), 0);
-    }
-
-    #[test]
-    fn histogram_empty() {
-        let h = Histogram::new();
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.quantile(0.5), 0);
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub const WHEEL_SLOTS: usize = 4096;
 /// Upper bound on the auto-tuned horizon (2^17 ticks ≈ 55 µs). Bounds
 /// the calendar's memory: a far-future outlier beyond this never
 /// triggers growth.
-pub const MAX_WHEEL_SLOTS: usize = 1 << 17;
+pub(crate) const MAX_WHEEL_SLOTS: usize = 1 << 17;
 
 /// Capturable overflow inserts tolerated before the horizon grows. Each
 /// pre-growth overflow insert costs one heap push — a few thousand of
@@ -108,7 +108,7 @@ const NIL: u32 = u32::MAX;
 ///
 /// [`EventQueue`]: crate::EventQueue
 #[derive(Debug)]
-pub struct TimerWheel<E> {
+pub(crate) struct TimerWheel<E> {
     /// Current near-tier width in ticks; always a power of two in
     /// `[64, MAX_WHEEL_SLOTS]`.
     slots: usize,
@@ -131,8 +131,6 @@ pub struct TimerWheel<E> {
     /// wheel would have captured, and the widest such delta.
     capturable: u64,
     capturable_max: u64,
-    /// Times the horizon grew (observability for tests/tuning).
-    grows: u32,
 }
 
 #[derive(Debug)]
@@ -202,7 +200,6 @@ impl<E> TimerWheel<E> {
             overflow: BinaryHeap::new(),
             capturable: 0,
             capturable_max: 0,
-            grows: 0,
         }
     }
 
@@ -210,12 +207,6 @@ impl<E> TimerWheel<E> {
     #[inline]
     pub fn horizon(&self) -> usize {
         self.slots
-    }
-
-    /// How many times auto-tuning widened the horizon.
-    #[inline]
-    pub fn grows(&self) -> u32 {
-        self.grows
     }
 
     /// Total pending events across both tiers.
@@ -342,7 +333,6 @@ impl<E> TimerWheel<E> {
         self.words = vec![0; new_slots / 64];
         self.summary = vec![0; (new_slots / 64).div_ceil(64)];
         self.wheel_len = 0;
-        self.grows += 1;
         pending.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
         for (at, seq, event) in pending {
             self.insert_near(at, seq, event);
@@ -395,17 +385,6 @@ impl<E> TimerWheel<E> {
             self.lists[idx][0] = next;
         }
         Some((at, seq, event))
-    }
-
-    /// Timestamp of the next pending event, without removing it.
-    #[inline]
-    pub fn peek(&self, now: SimTime) -> Option<SimTime> {
-        let wheel = self.front_bucket(now).map(|(at, _, _)| at);
-        let heap = self.overflow.peek().map(|o| o.at);
-        match (wheel, heap) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
     }
 
     /// Drains the *run* at the head of the queue — the maximal prefix of
@@ -678,8 +657,10 @@ mod tests {
             now = t;
             popped.push((t, s, e));
         }
-        assert!(w.grows() > 0, "far-heavy schedule must trigger growth");
-        assert!(w.horizon() > WHEEL_SLOTS);
+        assert!(
+            w.horizon() > WHEEL_SLOTS,
+            "far-heavy schedule must trigger growth"
+        );
         // The pop stream respects the (time, seq) contract and is
         // complete, growth or not.
         assert!(popped
@@ -723,8 +704,7 @@ mod tests {
                 seq,
             );
         }
-        assert_eq!(w.grows(), 0);
-        assert_eq!(w.horizon(), WHEEL_SLOTS);
+        assert_eq!(w.horizon(), WHEEL_SLOTS, "no growth");
         let order: Vec<u64> = drain(&mut w).into_iter().map(|(_, _, e)| e).collect();
         assert_eq!(order, (0..3 * GROW_TRIGGER).collect::<Vec<_>>());
     }

@@ -128,11 +128,6 @@ impl<T> ReservedQueue<T> {
         }
     }
 
-    /// Number of tasks parked under `key`.
-    pub fn len_of(&self, key: u64) -> usize {
-        self.lists.get(&key).map_or(0, Vec::len)
-    }
-
     /// Total parked tasks.
     pub fn total_tasks(&self) -> usize {
         self.lists.values().map(Vec::len).sum()
@@ -172,10 +167,10 @@ mod tests {
         q.reserve(1, 'a').unwrap();
         q.reserve(1, 'b').unwrap();
         q.reserve(2, 'c').unwrap();
-        assert_eq!(q.len_of(1), 2);
+        assert_eq!(q.lists[&1].len(), 2);
         assert_eq!(q.total_tasks(), 3);
         assert_eq!(q.take(1), vec!['a', 'b']);
-        assert_eq!(q.len_of(1), 0);
+        assert!(!q.lists.contains_key(&1));
         assert_eq!(q.total_tasks(), 1);
     }
 

@@ -70,7 +70,7 @@ impl TaskArgs {
     }
 
     /// The arguments as a slice.
-    pub fn as_slice(&self) -> &[u64] {
+    pub(crate) fn as_slice(&self) -> &[u64] {
         &self.vals[..self.len as usize]
     }
 

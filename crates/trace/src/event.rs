@@ -40,7 +40,7 @@ impl ComponentId {
 
     /// Chrome `tid` within the [`pid`](Self::pid) row: the component
     /// instance index.
-    pub fn tid(self) -> u32 {
+    pub(crate) fn tid(self) -> u32 {
         match self {
             ComponentId::Unit(i)
             | ComponentId::Bridge(i)
@@ -53,7 +53,7 @@ impl ComponentId {
 
     /// Human-readable name of the component *kind* (used as the Chrome
     /// process name).
-    pub fn kind_name(self) -> &'static str {
+    pub(crate) fn kind_name(self) -> &'static str {
         match self {
             ComponentId::Unit(_) => "ndp-units",
             ComponentId::Bridge(_) => "rank-bridges",

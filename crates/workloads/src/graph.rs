@@ -16,7 +16,7 @@ pub struct Graph {
 
 impl Graph {
     /// Builds a graph from an edge list over `n` vertices.
-    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
+    pub(crate) fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
         let mut degree = vec![0u64; n];
         for &(s, _) in edges {
             degree[s as usize] += 1;
@@ -51,7 +51,7 @@ impl Graph {
     /// locality from their crawl/community structure, which is what
     /// gives RowClone-style intra-chip transfers (and the bridges'
     /// intra-rank short path) something to exploit.
-    pub fn rmat_with_locality(scale: u32, edges: usize, locality: f64, seed: u64) -> Self {
+    pub(crate) fn rmat_with_locality(scale: u32, edges: usize, locality: f64, seed: u64) -> Self {
         let n = 1usize << scale;
         let mut rng = SimRng::new(seed);
         let (a, b, c) = (0.45, 0.22, 0.22);
@@ -109,22 +109,22 @@ impl Graph {
     }
 
     /// Number of vertices.
-    pub fn vertices(&self) -> usize {
+    pub(crate) fn vertices(&self) -> usize {
         self.offsets.len() - 1
     }
 
     /// Number of directed edges.
-    pub fn edges(&self) -> usize {
+    pub(crate) fn edges(&self) -> usize {
         self.targets.len()
     }
 
     /// Out-degree of `v`.
-    pub fn degree(&self, v: u32) -> usize {
+    pub(crate) fn degree(&self, v: u32) -> usize {
         (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
     }
 
     /// Out-neighbors of `v`.
-    pub fn neighbors(&self, v: u32) -> &[u32] {
+    pub(crate) fn neighbors(&self, v: u32) -> &[u32] {
         let s = self.offsets[v as usize] as usize;
         let e = self.offsets[v as usize + 1] as usize;
         &self.targets[s..e]

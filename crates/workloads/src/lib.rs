@@ -19,7 +19,7 @@ pub mod apps;
 pub mod graph;
 pub mod layout;
 pub mod matrix;
-pub mod zipf;
+mod zipf;
 
 pub use graph::Graph;
 pub use layout::Layout;
